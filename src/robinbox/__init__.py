@@ -19,13 +19,12 @@ from .figures import FigureId, figure_table
 from .interval import (IntervalGeometry, ModeDescriptor, Parity, SignClass,
                        Spectrum, gap_interval, lambda1_interval,
                        lambda2_interval, spectrum_interval)
-from .oracle import (DiscreteOperator, default_base_grid, discretize,
-                     eigenvalues_sturm, oracle_eigs)
+from .oracle import DiscreteOperator, discretize, eigenvalues_sturm, oracle_eigs
 from .rootfind import (RootBracket, RootConfig, default_config,
                        expand_bracket, solve_bracketed)
 from .shapes import (FAMILY_KINDS, OBJECTIVES, RectangleFamily, ScanResult,
                      gap_vs_segment, hear_rectangle, scan_family)
-from .verify import CheckResult, SUITES, run_all, run_suite
+from .verify import CheckResult, SUITES, run_suite
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "Spectrum",
     "alpha_minus",
     "alpha_plus",
-    "default_base_grid",
     "default_config",
     "discretize",
     "eigenvalues_sturm",
@@ -78,7 +76,6 @@ __all__ = [
     "lambda2_interval",
     "oracle_eigs",
     "ratio_box",
-    "run_all",
     "run_suite",
     "scaled_inverse",
     "scaled_quantity",

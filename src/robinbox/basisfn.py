@@ -25,7 +25,7 @@ import enum
 import math
 
 from .errors import DomainError, NumericalFailure
-from .rootfind import RootBracket, RootConfig, default_config, expand_bracket, solve_bracketed
+from .rootfind import DEFAULT_CONFIG, RootBracket, RootConfig, expand_bracket, solve_bracketed
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -46,15 +46,6 @@ class BasisFunction(enum.Enum):
     @property
     def codomain(self) -> tuple[float, float]:
         return _RANGES[self]
-
-    def eval(self, x: float) -> float:
-        return eval_basis(self, x)
-
-    def inverse(self, y: float, cfg: RootConfig | None = None) -> float:
-        return eval_inverse(self, y, cfg)
-
-    def scaled_inverse(self, y: float, cfg: RootConfig | None = None) -> float:
-        return scaled_inverse(self, y, cfg)
 
 
 _DOMAINS = {
@@ -114,7 +105,15 @@ def _solve(f, lo, hi, cfg):
     return solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
 
 
+# Below this y the series x = sqrt(y)*(1 - y/6) is exact to rounding (the
+# next term is O(y^2) relative), while the bracket [atan(2y/pi), sqrt(y)]
+# can lose its sign change to rounding in x*tan(x) - y.
+_G1_SERIES_Y = 1e-15
+
+
 def _g1_inverse(y, cfg):
+    if y < _G1_SERIES_Y:
+        return math.sqrt(y) * (1.0 - y / 6.0)
     if y < 2.0:
         # root of x*tan(x) = y lies in [atan(2y/pi), sqrt(y)]:
         # the lower end because tan there equals 2y/pi < y/x for x < pi/2,
@@ -161,17 +160,11 @@ def _h1_inverse(y, cfg):
 
 def _h2_inverse(y, cfg):
     # x*coth(x) sits strictly between x and x+1, so the root lies in [y-1, y]
-    lo = max(y - 1.0, 0.25 * sys_min_positive)
-    return _solve(lambda x: x / math.tanh(x) - y, lo, y, cfg)
+    return _solve(lambda x: x / math.tanh(x) - y, y - 1.0, y, cfg)
 
 
-sys_min_positive = 5e-324
-
-
-def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig | None = None) -> float:
+def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """The x in the principal domain with eval_basis(fn, x) = y."""
-    if cfg is None:
-        cfg = default_config()
     lo, hi = _RANGES[fn]
     if not (lo < y < hi) and not (fn is BasisFunction.G2 and y == 0.0):
         if fn is BasisFunction.G2 and y == lo:
@@ -186,11 +179,11 @@ def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig | None = None) -> 
     return _h2_inverse(y, cfg)
 
 
-def scaled_inverse(fn: BasisFunction, y: float, cfg: RootConfig | None = None) -> float:
+def scaled_inverse(fn: BasisFunction, y: float) -> float:
     """eval_inverse(fn, y) / y; undefined at y = 0."""
     if y == 0.0:
         raise DomainError("scaled inverse is undefined at y = 0")
-    return eval_inverse(fn, y, cfg) / y
+    return eval_inverse(fn, y) / y
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +213,7 @@ def f_aux(which: str, x: float) -> float:
     raise DomainError(f"f_aux selector must be 'f1' or 'f2', got {which!r}")
 
 
-def _invert_f_aux(which: str, w: float, cfg: RootConfig) -> float:
+def _invert_f_aux(which: str, w: float) -> float:
     """x with f_aux(which, x) = w, by expansion in log x (f strictly decreasing)."""
     g = lambda z: f_aux(which, math.exp(z)) - w
     g0 = g(0.0)
@@ -228,10 +221,10 @@ def _invert_f_aux(which: str, w: float, cfg: RootConfig) -> float:
         return 1.0
     direction = "up" if g0 > 0.0 else "down"
     bracket = expand_bracket(g, 0.0, direction=direction, growth=2.0, initial_step=0.5)
-    return math.exp(solve_bracketed(g, bracket, cfg))
+    return math.exp(solve_bracketed(g, bracket))
 
 
-def threshold_y(which: str, c: float, cfg: RootConfig | None = None) -> float:
+def threshold_y(which: str, c: float) -> float:
     """Monotonicity thresholds of the area-weighted eigenvalue profiles.
 
     y1(c) = 0 for c <= 3, else h1(f1^-1(1/c))/c, landing in (0, 1/2);
@@ -240,17 +233,15 @@ def threshold_y(which: str, c: float, cfg: RootConfig | None = None) -> float:
     """
     if c <= 0.0:
         raise DomainError(f"threshold_y needs c > 0, got {c!r}")
-    if cfg is None:
-        cfg = default_config()
     if which == "y1":
         if c <= 3.0:
             return 0.0
-        x = _invert_f_aux("f1", 1.0 / c, cfg)
+        x = _invert_f_aux("f1", 1.0 / c)
         return eval_basis(BasisFunction.H1, x) / c
     if which == "y2":
         if c <= 1.0:
             return 1.0 / c
-        x = _invert_f_aux("f2", 1.0 / c, cfg)
+        x = _invert_f_aux("f2", 1.0 / c)
         return eval_basis(BasisFunction.H2, x) / c
     raise DomainError(f"threshold_y selector must be 'y1' or 'y2', got {which!r}")
 
@@ -258,37 +249,33 @@ def threshold_y(which: str, c: float, cfg: RootConfig | None = None) -> float:
 # ---------------------------------------------------------------------------
 # critical constants
 
-def alpha_plus(cfg: RootConfig | None = None) -> float:
+def alpha_plus() -> float:
     """The positive root of g1^-1(a/8)^2 + g2^-1(a/8)^2 = a/4, about 33.2054."""
-    if cfg is None:
-        cfg = default_config()
 
     def resid(a):
         u = a / 8.0
-        return (eval_inverse(BasisFunction.G1, u, cfg) ** 2
-                + eval_inverse(BasisFunction.G2, u, cfg) ** 2
+        return (eval_inverse(BasisFunction.G1, u) ** 2
+                + eval_inverse(BasisFunction.G2, u) ** 2
                 - a / 4.0)
 
     lo, hi = 8.0, 100.0
     flo, fhi = resid(lo), resid(hi)
     if not flo > 0.0 > fhi:
         raise NumericalFailure("defining equation did not change sign on [8, 100]")
-    return solve_bracketed(resid, RootBracket(lo, hi, flo, fhi), cfg)
+    return solve_bracketed(resid, RootBracket(lo, hi, flo, fhi))
 
 
-def alpha_minus(cfg: RootConfig | None = None) -> float:
+def alpha_minus() -> float:
     """The root below -8 of h1^-1(|a|/8)^2 + h2^-1(|a|/8)^2 = |a|/4, about -9.3885."""
-    if cfg is None:
-        cfg = default_config()
 
     def resid(m):
         # m = |alpha|; at m = 8 the h2 term vanishes (continuous extension)
         u = m / 8.0
-        h2_term = 0.0 if u <= 1.0 else eval_inverse(BasisFunction.H2, u, cfg) ** 2
-        return eval_inverse(BasisFunction.H1, u, cfg) ** 2 + h2_term - m / 4.0
+        h2_term = 0.0 if u <= 1.0 else eval_inverse(BasisFunction.H2, u) ** 2
+        return eval_inverse(BasisFunction.H1, u) ** 2 + h2_term - m / 4.0
 
     lo, hi = 8.0, 100.0
     flo, fhi = resid(lo), resid(hi)
     if not flo < 0.0 < fhi:
         raise NumericalFailure("defining equation did not change sign on [-100, -8]")
-    return -solve_bracketed(resid, RootBracket(lo, hi, flo, fhi), cfg)
+    return -solve_bracketed(resid, RootBracket(lo, hi, flo, fhi))

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 numerical failure, 4 I/O error, 5 inverse-problem inconsistency.
-Configuration precedence is flags, then ROBINBOX_* environment
-variables, then built-in defaults.
+The one setting is the printed precision: --precision, then the
+ROBINBOX_PRECISION environment variable, then 12 digits.
 """
 
 from __future__ import annotations
@@ -185,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=None,
                         help="significant digits for printed numbers (default 12)")
-    common.add_argument("--tol-abs", type=float, default=None,
-                        help="absolute root-finding tolerance override")
-    common.add_argument("--tol-rel", type=float, default=None,
-                        help="relative root-finding tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="robinbox",
@@ -255,18 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tol_flags(args) -> None:
-    if getattr(args, "tol_abs", None) is not None:
-        os.environ["ROBINBOX_TOL_ABS"] = repr(args.tol_abs)
-    if getattr(args, "tol_rel", None) is not None:
-        os.environ["ROBINBOX_TOL_REL"] = repr(args.tol_rel)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_tol_flags(args)
         return args.handler(args)
     except Inconsistent as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .basisfn import BasisFunction, eval_inverse
 from .errors import DomainError, NumericalFailure
-from .rootfind import RootBracket, RootConfig, default_config, solve_bracketed
+from .rootfind import RootBracket, solve_bracketed
 
 _MIN_HALF_LENGTH = 1e-12
 
@@ -41,10 +41,6 @@ class IntervalGeometry:
         if t < _MIN_HALF_LENGTH:
             raise DomainError(f"half_length {t!r} below {_MIN_HALF_LENGTH} is numerically degenerate")
         object.__setattr__(self, "half_length", float(t))
-
-    @property
-    def length(self) -> float:
-        return 2.0 * self.half_length
 
     @property
     def diameter(self) -> float:
@@ -138,8 +134,12 @@ def gap_interval(geom: IntervalGeometry, alpha: float) -> float:
         a - b = z*(coth a - tanh b)
               = 2z*(exp(-2b) + exp(-2a)) / ((1 - exp(-2a))*(1 + exp(-2b)))
 
-    which is exact and underflows gracefully, so the gap (a^2-b^2)/t^2 =
-    (a+b)(a-b)/t^2 stays strictly positive as long as floats can express it.
+    which is exact and free of cancellation, so the gap (a^2-b^2)/t^2 =
+    (a+b)(a-b)/t^2 keeps its digits far past the point where the direct
+    difference is zero.  It is not positive all the way down: exp(-2a)
+    underflows once alpha*t drops below about -372.6, and the gap then
+    returns 0.0, although the true gap stays a positive subnormal (about
+    2.6e-318 at -372.6) down to about alpha*t = -379.5.
     """
     t = geom.half_length
     y = alpha * t
@@ -165,7 +165,7 @@ def gap_interval(geom: IntervalGeometry, alpha: float) -> float:
     return (a + b) * a_minus_b / (t * t)
 
 
-def _branch_root(kind: Parity, m: int, y: float, cfg: RootConfig) -> float:
+def _branch_root(kind: Parity, m: int, y: float) -> float:
     """Root of the branch-m positive-mode equation at boundary data y.
 
     Even modes solve x*tan(x) = y on ((m-1/2)pi, (m+1/2)pi); odd modes solve
@@ -202,11 +202,11 @@ def _branch_root(kind: Parity, m: int, y: float, cfg: RootConfig) -> float:
     else:
         raise NumericalFailure(f"cannot bracket branch {m} above (y={y})")
 
-    return solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
+    return solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
 
 
-def _parity_modes(parity: Parity, geom: IntervalGeometry, alpha: float, count: int,
-                  cfg: RootConfig) -> list[tuple[float, ModeDescriptor]]:
+def _parity_modes(parity: Parity, geom: IntervalGeometry, alpha: float,
+                  count: int) -> list[tuple[float, ModeDescriptor]]:
     """First ``count`` modes of one parity, ascending."""
     t = geom.half_length
     y = alpha * t
@@ -215,38 +215,35 @@ def _parity_modes(parity: Parity, geom: IntervalGeometry, alpha: float, count: i
     # ground mode of this parity
     if parity is Parity.EVEN:
         if alpha < 0.0:
-            x = eval_inverse(BasisFunction.H1, -y, cfg)
+            x = eval_inverse(BasisFunction.H1, -y)
             out.append((-((x / t) ** 2), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
         elif alpha == 0.0:
             out.append((0.0, ModeDescriptor(parity, SignClass.ZERO, 0, 0.0)))
         else:
-            x = eval_inverse(BasisFunction.G1, y, cfg)
+            x = eval_inverse(BasisFunction.G1, y)
             out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, 0, x / t)))
     else:
         if y < -1.0:
-            x = eval_inverse(BasisFunction.H2, -y, cfg)
+            x = eval_inverse(BasisFunction.H2, -y)
             out.append((-((x / t) ** 2), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
         elif y == -1.0:
             out.append((0.0, ModeDescriptor(parity, SignClass.ZERO, 0, 0.0)))
         else:
-            x = eval_inverse(BasisFunction.G2, y, cfg)
+            x = eval_inverse(BasisFunction.G2, y)
             out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, 0, x / t)))
 
     for m in range(1, count):
-        x = _branch_root(parity, m, y, cfg)
+        x = _branch_root(parity, m, y)
         out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, m, x / t)))
     return out
 
 
-def spectrum_interval(geom: IntervalGeometry, alpha: float, k: int,
-                      cfg: RootConfig | None = None) -> Spectrum:
+def spectrum_interval(geom: IntervalGeometry, alpha: float, k: int) -> Spectrum:
     """The k lowest eigenvalues with parity/branch bookkeeping."""
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k!r}")
-    if cfg is None:
-        cfg = default_config()
     per_parity = (k + 1) // 2 + 2
-    modes = _parity_modes(Parity.EVEN, geom, alpha, per_parity, cfg)
-    modes += _parity_modes(Parity.ODD, geom, alpha, per_parity, cfg)
+    modes = _parity_modes(Parity.EVEN, geom, alpha, per_parity)
+    modes += _parity_modes(Parity.ODD, geom, alpha, per_parity)
     modes.sort(key=lambda pair: pair[0])
     return Spectrum(tuple(modes[:k]))

@@ -22,18 +22,12 @@ exactly, so the Neumann zero mode is reproduced to machine precision.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .interval import IntervalGeometry
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
 
 _DEFAULT_BASE_GRID = 401
 _MAX_ALPHA_H = 0.05
@@ -63,30 +57,23 @@ def discretize(geom: IntervalGeometry, alpha: float, n: int) -> DiscreteOperator
     return DiscreteOperator(n, h, diag, offdiag)
 
 
-def _sturm_count_py(diag, off2, shifts):
+def _sturm_count(diag, off2, shifts, pivmin):
     n = diag.shape[0]
     out = np.empty(shifts.shape[0], dtype=np.int64)
     for j in range(shifts.shape[0]):
         x = shifts[j]
         q = diag[0] - x
         if q == 0.0:
-            q = -1e-300
+            q = -pivmin
         cnt = 1 if q < 0.0 else 0
         for i in range(1, n):
             q = diag[i] - x - off2[i - 1] / q
             if q == 0.0:
-                q = -1e-300
+                q = -pivmin
             if q < 0.0:
                 cnt += 1
         out[j] = cnt
     return out
-
-
-if njit is not None:
-    _sturm_count = njit("int64[:](float64[:], float64[:], float64[:])",
-                        cache=True, fastmath=False)(_sturm_count_py)
-else:  # pragma: no cover
-    _sturm_count = _sturm_count_py
 
 
 def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
@@ -94,8 +81,10 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
     """The k smallest eigenvalues by Sturm counting and bisection.
 
     The LDL^T pivot recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1} has as
-    many negative pivots as there are eigenvalues below x (zero pivots are
-    nudged negative, a measure-zero tie-break that bisection never notices).
+    many negative pivots as there are eigenvalues below x.  A zero pivot is
+    replaced by -pivmin with pivmin = tiny * max(1, max e^2), the safe pivot
+    of LAPACK's dstebz: the tie-break counts it negative, and e^2 / pivmin
+    stays below 1/tiny, so the next pivot cannot overflow.
     Each eigenvalue keeps its own shrinking bracket, all advanced in one
     vectorized sweep per bisection level.
     """
@@ -104,6 +93,7 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
     d = np.asarray(op.diag, dtype=np.float64)
     e = np.asarray(op.offdiag, dtype=np.float64)
     off2 = e * e
+    pivmin = np.finfo(np.float64).tiny * float(np.max(off2, initial=1.0))
 
     radius = np.zeros(op.n)
     radius[:-1] += np.abs(e)
@@ -114,7 +104,7 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
     glo -= pad
     ghi += pad
 
-    counts = _sturm_count(d, off2, np.array([glo, ghi]))
+    counts = _sturm_count(d, off2, np.array([glo, ghi]), pivmin)
     if counts[0] != 0 or counts[1] < k:
         raise NumericalFailure(
             f"Sturm count inconsistency at Gershgorin bounds: {counts[0]} below, {counts[1]} total")
@@ -128,7 +118,7 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
         tol = abs_tol + rel_tol * np.abs(mid)
         if np.all(width <= tol):
             break
-        c = _sturm_count(d, off2, mid)
+        c = _sturm_count(d, off2, mid, pivmin)
         go_right = c <= idx
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
@@ -143,21 +133,8 @@ def _grid_size_for(geom: IntervalGeometry, alpha: float, base_n: int) -> int:
     return max(base_n, need)
 
 
-def default_base_grid() -> int:
-    raw = os.environ.get("ROBINBOX_ORACLE_GRID")
-    if raw is None:
-        return _DEFAULT_BASE_GRID
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"ROBINBOX_ORACLE_GRID must be an integer, got {raw!r}")
-    if n < 8:
-        raise DomainError(f"ROBINBOX_ORACLE_GRID must be at least 8, got {n}")
-    return n
-
-
 def oracle_eigs(geom: IntervalGeometry, alpha: float, k: int,
-                base_n: int | None = None) -> tuple[np.ndarray, float]:
+                base_n: int = _DEFAULT_BASE_GRID) -> tuple[np.ndarray, float]:
     """Extrapolated k lowest eigenvalues plus a crude error estimate.
 
     Three nested grids (n, 2n-1, 4n-3 share every coarse node) give two
@@ -166,8 +143,6 @@ def oracle_eigs(geom: IntervalGeometry, alpha: float, k: int,
     """
     if k < 1 or k > 10:
         raise DomainError(f"oracle supports 1 <= k <= 10, got {k!r}")
-    if base_n is None:
-        base_n = default_base_grid()
     n0 = _grid_size_for(geom, alpha, base_n)
     lam = []
     for n in (n0, 2 * n0 - 1, 4 * n0 - 3):

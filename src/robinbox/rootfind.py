@@ -12,7 +12,6 @@ to be finite instead of aborting.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -41,10 +40,6 @@ class RootBracket:
                 f"no sign change on [{self.lo}, {self.hi}]: f values {self.f_lo}, {self.f_hi}"
             )
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":
-        return cls(lo, hi, f(lo), f(hi))
-
 
 @dataclass(frozen=True)
 class RootConfig:
@@ -61,11 +56,12 @@ class RootConfig:
             raise DomainError("max_iter must be at least 1")
 
 
+DEFAULT_CONFIG = RootConfig()
+
+
 def default_config() -> RootConfig:
-    """Built-in tolerances, overridable through ROBINBOX_TOL_ABS / ROBINBOX_TOL_REL."""
-    abs_tol = float(os.environ.get("ROBINBOX_TOL_ABS", 1e-13))
-    rel_tol = float(os.environ.get("ROBINBOX_TOL_REL", 4.0 * _EPS))
-    return RootConfig(abs_tol=abs_tol, rel_tol=rel_tol)
+    """The package-wide tolerances: the field defaults of RootConfig."""
+    return DEFAULT_CONFIG
 
 
 def _guarded_eval(f, x, fallback, n_retries=64):
@@ -86,11 +82,8 @@ def _guarded_eval(f, x, fallback, n_retries=64):
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: RootBracket,
-                    cfg: RootConfig | None = None) -> float:
+                    cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """Root of f inside ``bracket`` to within abs_tol + rel_tol*|root|."""
-    if cfg is None:
-        cfg = default_config()
-
     sa, sb = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
     c, fc = sa, fa

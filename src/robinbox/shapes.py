@@ -223,7 +223,7 @@ def hear_rectangle(lambda1_val: float, lambda2_val: float, alpha: float) -> BoxG
     """
     if alpha == 0.0:
         raise AlphaZero("cannot hear a rectangle at alpha = 0")
-    for name, v in (("lambda1", lambda1_val), ("lambda2", lambda2_val)):
+    for name, v in (("lambda1", lambda1_val), ("lambda2", lambda2_val), ("alpha", alpha)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise DomainError(f"{name} must be a finite number, got {v!r}")
     gap = lambda2_val - lambda1_val

@@ -542,16 +542,23 @@ def suite_box():
     alphas = np.linspace(-50.0, 50.0, 200)
     worst_gap = -math.inf
     curv = -math.inf
+    worst_diff = 0.0
     for ws in ((1.0, 1.0), (3.0, 1.0), (2.0, 1.0, 1.0)):
         geom = BoxGeometry(ws)
         gaps = [gap_box(geom, float(a)) for a in alphas]
         worst_gap = max(worst_gap, _worst_decrease(gaps))
-        for f in (lambda1_box, lambda2_box):
-            vals = [f(geom, float(a)) for a in alphas]
+        l1s = [lambda1_box(geom, float(a)) for a in alphas]
+        l2s = [lambda2_box(geom, float(a)) for a in alphas]
+        for vals in (l1s, l2s):
             d = np.diff(vals)
             curv = max(curv, float(np.max(d[1:] - d[:-1])))
+        # strongly negative coupling cancels the direct difference to a few
+        # digits, so the tolerance scales with the eigenvalues, not the gap
+        for g, l1, l2 in zip(gaps, l1s, l2s):
+            worst_diff = max(worst_diff, abs((l2 - l1) - g) / max(1.0, abs(l1), abs(l2)))
     out.append(_chk("gap_increasing_in_alpha", worst_gap, 0.0, strict=True))
     out.append(_chk("eigenvalues_concave_in_alpha", curv, 1e-10))
+    out.append(_chk("box_gap_matches_difference", worst_diff, 1e-12))
 
     try:
         ratio_box(BoxGeometry((1.0, 2.0)), 0.0)
@@ -818,7 +825,3 @@ def run_suite(name: str):
         from .errors import DomainError
         raise DomainError(f"unknown suite {name!r}; expected one of {tuple(SUITES)}")
     return SUITES[name]()
-
-
-def run_all():
-    return {name: fn() for name, fn in SUITES.items()}

@@ -96,6 +96,13 @@ def test_hear_alpha_zero_exits_2():
     assert r.returncode == 2
 
 
+def test_hear_nonfinite_alpha_exits_2():
+    for alpha in ("nan", "inf"):
+        r = run_cli("hear", "--lambda1", "1", "--lambda2", "2", "--alpha", alpha)
+        assert r.returncode == 2
+        assert "alpha must be a finite number" in r.stderr
+
+
 def test_scan_window_quantity_peaks_at_square():
     r = run_cli("scan", "--family", "perim", "--objective", "perim_lambda2",
                 "--alpha", "10", "--grid", "64")

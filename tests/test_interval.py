@@ -25,7 +25,6 @@ def test_geometry_validation():
     with pytest.raises(DomainError):
         IntervalGeometry(-1.0)
     g = IntervalGeometry(1.5)
-    assert g.length == 3.0
     assert g.diameter == 3.0
 
 

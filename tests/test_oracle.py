@@ -8,7 +8,6 @@ import pytest
 from robinbox import (
     DomainError,
     IntervalGeometry,
-    default_base_grid,
     discretize,
     eigenvalues_sturm,
     lambda1_interval,
@@ -87,19 +86,6 @@ def test_oracle_count_bounds():
         oracle_eigs(IntervalGeometry(1.0), 0.0, 0)
     with pytest.raises(DomainError):
         oracle_eigs(IntervalGeometry(1.0), 0.0, 11)
-
-
-def test_base_grid_env(monkeypatch):
-    monkeypatch.delenv("ROBINBOX_ORACLE_GRID", raising=False)
-    assert default_base_grid() >= 8
-    monkeypatch.setenv("ROBINBOX_ORACLE_GRID", "51")
-    assert default_base_grid() == 51
-    monkeypatch.setenv("ROBINBOX_ORACLE_GRID", "banana")
-    with pytest.raises(DomainError):
-        default_base_grid()
-    monkeypatch.setenv("ROBINBOX_ORACLE_GRID", "4")
-    with pytest.raises(DomainError):
-        default_base_grid()
 
 
 def test_discretize_rejects_tiny_grid():

@@ -11,6 +11,7 @@ from robinbox import (
     NoSignChange,
     RootBracket,
     RootConfig,
+    default_config,
     expand_bracket,
     solve_bracketed,
 )
@@ -30,9 +31,13 @@ def pure_bisection(f, lo, hi, steps=200):
     return 0.5 * (lo + hi)
 
 
+def bracket(f, lo, hi):
+    return RootBracket(lo, hi, f(lo), f(hi))
+
+
 def test_cubic_root():
     f = lambda x: x * x * x - 2.0
-    root = solve_bracketed(f, RootBracket.from_function(f, 0.0, 2.0))
+    root = solve_bracketed(f, bracket(f, 0.0, 2.0))
     assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-13
 
 
@@ -41,7 +46,7 @@ def test_matches_pure_bisection_on_transcendental():
     f = lambda x: x * math.tan(x) - 1.0
     ref = pure_bisection(f, 0.1, 1.5)
     assert abs(ref - 0.8603335890193797) < 1e-15  # frozen bisection value
-    root = solve_bracketed(f, RootBracket.from_function(f, 0.1, 1.5))
+    root = solve_bracketed(f, bracket(f, 0.1, 1.5))
     assert abs(root - ref) < 1e-12
 
 
@@ -49,12 +54,12 @@ def test_root_at_endpoint_value_zero():
     f = lambda x: x - 1.0
     # endpoint values must strictly straddle zero, so f(lo) == 0 is rejected
     with pytest.raises(NoSignChange):
-        RootBracket.from_function(f, 1.0, 2.0)
+        bracket(f, 1.0, 2.0)
 
 
 def test_bracket_rejects_same_sign():
     with pytest.raises(NoSignChange):
-        RootBracket.from_function(lambda x: x * x + 1.0, -1.0, 1.0)
+        bracket(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_bracket_rejects_bad_ordering():
@@ -73,17 +78,23 @@ def test_config_validation():
         RootConfig(max_iter=0)
 
 
+def test_default_config_is_the_field_defaults(monkeypatch):
+    # tolerances have one source; the environment plays no part
+    monkeypatch.setenv("ROBINBOX_TOL_ABS", "1e-3")
+    assert default_config() == RootConfig()
+
+
 def test_max_iter_exceeded():
     f = lambda x: x * x * x - 2.0
     cfg = RootConfig(abs_tol=1e-300, rel_tol=0.0, max_iter=2)
     with pytest.raises(MaxIterExceeded):
-        solve_bracketed(f, RootBracket.from_function(f, 0.0, 2.0), cfg)
+        solve_bracketed(f, bracket(f, 0.0, 2.0), cfg)
 
 
 def test_loose_tolerance_still_near_root():
     f = lambda x: math.cos(x)
     cfg = RootConfig(abs_tol=1e-3, rel_tol=0.0)
-    root = solve_bracketed(f, RootBracket.from_function(f, 1.0, 2.0), cfg)
+    root = solve_bracketed(f, bracket(f, 1.0, 2.0), cfg)
     assert abs(root - 0.5 * math.pi) < 1e-3
 
 
@@ -121,5 +132,5 @@ def test_expand_bracket_bad_arguments():
 
 def test_dottie_fixed_point():
     f = lambda x: math.cos(x) - x
-    root = solve_bracketed(f, RootBracket.from_function(f, 0.0, 1.0))
+    root = solve_bracketed(f, bracket(f, 0.0, 1.0))
     assert abs(root - 0.7390851332151607) < 1e-13

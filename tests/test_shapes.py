@@ -136,6 +136,9 @@ def test_hearing_rejects_nonfinite_input():
         hear_rectangle(math.nan, 2.0, 1.0)
     with pytest.raises(DomainError):
         hear_rectangle(1.0, math.inf, 1.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            hear_rectangle(1.0, 2.0, alpha)
 
 
 def test_hearing_small_random_sample():
