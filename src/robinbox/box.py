@@ -166,8 +166,13 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
     f = lambda a: lambda2_box(geom, a)
     hi = -1e-8 / max(geom.half_widths)
     fhi = f(hi)
-    if fhi <= 0.0:  # pragma: no cover - lambda2(0) is strictly positive
-        raise NumericalFailure("lambda2 unexpectedly nonpositive near alpha = 0")
+    # On a thin box the thin axis's lambda1 ~ alpha/w_min already outweighs
+    # the long axis's lambda2 at hi: halve hi toward 0, where lambda2 > 0.
+    while fhi <= 0.0 and hi < 0.0:
+        hi *= 0.5
+        fhi = f(hi)
+    if fhi <= 0.0:
+        raise NumericalFailure(f"lambda2 is not positive at alpha = 0 for {geom.half_widths!r}")
     lo = -4.0 / min(geom.half_widths)
     flo = f(lo)
     for _ in range(60):

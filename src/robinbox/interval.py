@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .basisfn import BasisFunction, eval_inverse
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError
 from .rootfind import RootBracket, solve_bracketed
 
 _MIN_HALF_LENGTH = 1e-12
@@ -171,7 +171,9 @@ def _branch_root(kind: Parity, m: int, y: float) -> float:
     Even modes solve x*tan(x) = y on ((m-1/2)pi, (m+1/2)pi); odd modes solve
     -x*cot(x) = y on (m*pi, (m+1)*pi).  Both functions sweep (-inf, +inf)
     across their branch, so a root always exists; the bracket creeps toward
-    the poles until it straddles the sign change.
+    the poles until it straddles the sign change.  For |y| beyond about
+    3e16 the root lies closer to a pole than one ulp, no double straddles
+    it, and that pole's side of the bracket is returned.
     """
     if kind is Parity.EVEN:
         lo_pole = (m - 0.5) * math.pi
@@ -190,7 +192,7 @@ def _branch_root(kind: Parity, m: int, y: float) -> float:
         d /= 16.0
         lo, flo = lo_pole + d, f(lo_pole + d)
     else:
-        raise NumericalFailure(f"cannot bracket branch {m} below (y={y})")
+        return lo
 
     d = 1e-9 * math.pi
     hi, fhi = hi_pole - d, f(hi_pole - d)
@@ -200,7 +202,7 @@ def _branch_root(kind: Parity, m: int, y: float) -> float:
         d /= 16.0
         hi, fhi = hi_pole - d, f(hi_pole - d)
     else:
-        raise NumericalFailure(f"cannot bracket branch {m} above (y={y})")
+        return hi
 
     return solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
 

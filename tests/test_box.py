@@ -134,6 +134,19 @@ def test_steklov_zero_crossing():
         assert abs(lambda2_box(geom, -sig)) <= 1e-9 * lambda2_box(geom, 0.0)
 
 
+def test_steklov_thin_box():
+    """The thin axis's lambda1 ~ alpha/w_min sets sigma1 ~ w_min*(pi/2)^2."""
+    w_min = 1e-9
+    geom = BoxGeometry((w_min, 1.0))
+    sig = steklov_sigma1(geom)
+    assert sig > 0.0
+    # the solver's absolute tolerance on alpha (1e-13) times the slope
+    # d(lambda2)/d(alpha) ~ 1/w_min bounds the residual; lambda1 of the thin
+    # axis and lambda2 of the long one cancel there at a scale of 2.47
+    assert abs(lambda2_box(geom, -sig)) <= 1e-13 / w_min
+    assert abs(sig / (w_min * (0.5 * math.pi) ** 2) - 1.0) <= 1e-4
+
+
 def test_steklov_scaling_and_interval():
     geom = BoxGeometry((2.0, 1.0))
     sig = steklov_sigma1(geom)

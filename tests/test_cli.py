@@ -71,6 +71,22 @@ def test_steklov_gap_ratio_scalars():
     assert float(r.stdout.strip()) > 1.0
 
 
+def test_steklov_thin_box():
+    r = run_cli("steklov", "--box", "1e-9,1")
+    assert r.returncode == 0
+    assert float(r.stdout.strip()) > 0.0
+
+
+def test_negative_exponent_values_match_equals_form():
+    for value in ("-1e-3", "-1e10", "-1e308"):
+        spaced = run_cli("gap", "--box", "1,1", "--alpha", value)
+        joined = run_cli("gap", "--box", "1,1", f"--alpha={value}")
+        assert spaced.returncode == joined.returncode
+        assert spaced.stdout == joined.stdout
+        assert spaced.stderr == joined.stderr
+    assert spaced.returncode == 0
+
+
 def test_hear_roundtrip():
     lam1 = run_cli("eig", "--box", "1.5,0.5", "--alpha", "2", "--k", "2",
                    "--precision", "17")

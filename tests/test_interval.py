@@ -129,3 +129,23 @@ def test_spectrum_head_matches_scalar_entry_points():
 def test_spectrum_rejects_bad_count():
     with pytest.raises(DomainError):
         spectrum_interval(IntervalGeometry(1.0), 1.0, 0)
+
+
+def test_spectrum_next_to_the_pole():
+    """Past |alpha*t| ~ 3e16 the branch roots sit within an ulp of a pole.
+
+    Positive coupling tends to the Dirichlet spectrum (j*pi/(2t))^2, j >= 1;
+    negative coupling puts two modes near -alpha^2 below it.
+    """
+    for t in (1.0, 2.5):
+        geom = IntervalGeometry(t)
+        dirichlet = [(j * math.pi / (2.0 * t)) ** 2 for j in range(1, 5)]
+        for e in range(17, 301, 7):
+            vals = spectrum_interval(geom, 10.0 ** e / t, 4).values
+            for v, d in zip(vals, dirichlet):
+                assert abs(v / d - 1.0) <= 1e-14
+        for e in range(16, 151, 7):
+            vals = spectrum_interval(geom, -(10.0 ** e) / t, 4).values
+            assert vals[0] < 0.0 and vals[1] < 0.0
+            for v, d in zip(vals[2:], dirichlet):
+                assert abs(v / d - 1.0) <= 1e-14

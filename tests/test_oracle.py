@@ -14,6 +14,7 @@ from robinbox import (
     oracle_eigs,
     spectrum_interval,
 )
+from robinbox.oracle import _sturm_count
 
 
 def dense_matrix(op):
@@ -91,3 +92,51 @@ def test_oracle_count_bounds():
 def test_discretize_rejects_tiny_grid():
     with pytest.raises(DomainError):
         discretize(IntervalGeometry(1.0), 0.0, 5)
+
+
+# float.hex of eigenvalues_sturm(discretize(IntervalGeometry(t), a, n), 6),
+# recorded from the numpy-scalar Sturm loop that preceded the Python-float
+# one; the two must agree bit for bit
+PINNED_STURM = {
+    (1.0, 1.0, 401): (
+        "0x1.7af823e150f2ap-1", "0x1.076a05fec9fb6p+2", "0x1.778252871b0f0p+3",
+        "0x1.82368893fc7c2p+4", "0x1.4b7c06d8653bep+5", "0x1.fd359d231a440p+5"),
+    (0.5, -5.0, 801): (
+        "-0x1.9a3dd256b88fcp+4", "-0x1.8493e44f07b14p+4", "0x1.580b14c267a12p+4",
+        "0x1.1690b70d6e2d8p+6", "0x1.14b4cc456b154p+7", "0x1.c60586b93ee9fp+7"),
+    (2.0, 0.0, 1601): (
+        "-0x1.fd7c37b247213p-36", "0x1.3bd3c5f5bfcdep-1", "0x1.3bd3b2028fdbep+1",
+        "0x1.634e02db28014p+2", "0x1.3bd3623663fdap+3", "0x1.ed79ebf1dbf86p+3"),
+    (5.0, -5.0, 4001): (
+        "-0x1.8ffc001479feap+4", "-0x1.8ffc001479feap+4", "0x1.b698d555fea8ap-4",
+        "0x1.b671464d81572p-2", "0x1.ecf6db633fb50p-1", "0x1.b5d9481a20477p+0"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_STURM))
+def test_sturm_bisection_pinned_bit_for_bit(cell):
+    t, a, n = cell
+    got = eigenvalues_sturm(discretize(IntervalGeometry(t), a, n), 6)
+    assert tuple(float(v).hex() for v in got) == PINNED_STURM[cell]
+
+
+def test_sturm_count_zero_pivot_tie_break():
+    """A pivot that is exactly 0 counts as negative and does not overflow."""
+    op = discretize(IntervalGeometry(1.0), 0.7, 12)
+    diag = op.diag.tolist()
+    off2 = (op.offdiag * op.offdiag).tolist()
+    pivmin = float(np.finfo(np.float64).tiny * max(off2))
+    eigs = np.linalg.eigvalsh(dense_matrix(op))
+    shifts = [diag[0], diag[0] - 1.0, diag[0] + 1.0, diag[1]]
+    assert diag[0] - shifts[0] == 0.0  # the first pivot is exactly zero
+    counts = _sturm_count(diag, off2, shifts, pivmin)
+    assert counts == [int(np.sum(eigs < x)) for x in shifts]
+
+    # interior zero pivots: ones on all three diagonals and shift 0 give
+    # q0 = 1, q1 = 1 - 1/1 = 0.  The n x n matrix has the eigenvalues
+    # 1 + 2cos(j*pi/(n+1)): for n = 4 none is 0 and one lies below it; for
+    # n = 5, 1 + 2cos(4*pi/6) = 0 exactly, and the negative tie-break counts
+    # it with the one below, as dstebz does
+    tiny = float(np.finfo(np.float64).tiny)
+    assert _sturm_count([1.0] * 4, [1.0] * 3, [0.0], tiny) == [1]
+    assert _sturm_count([1.0] * 5, [1.0] * 4, [0.0], tiny) == [2]
