@@ -105,14 +105,16 @@ def _solve(f, lo, hi, cfg):
     return solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
 
 
-# Below this y the series x = sqrt(y)*(1 - y/6) is exact to rounding (the
-# next term is O(y^2) relative), while the bracket [atan(2y/pi), sqrt(y)]
-# can lose its sign change to rounding in x*tan(x) - y.
-_G1_SERIES_Y = 1e-15
+# Below this y the series x = sqrt(y)*(1 -+ y/6) of the G1 and H1 inverses
+# are exact to rounding (the next term is O(y^2) relative).  The bracketed
+# solves are not: G1's bracket [atan(2y/pi), sqrt(y)] can lose its sign
+# change to rounding in x*tan(x) - y, and a root sqrt(y) below the solver's
+# absolute tolerance comes back as the bracket end y.
+_SERIES_Y = 1e-15
 
 
 def _g1_inverse(y, cfg):
-    if y < _G1_SERIES_Y:
+    if y < _SERIES_Y:
         return math.sqrt(y) * (1.0 - y / 6.0)
     if y < 2.0:
         # root of x*tan(x) = y lies in [atan(2y/pi), sqrt(y)]:
@@ -129,6 +131,11 @@ def _g1_inverse(y, cfg):
     return min(HALF_PI - d, math.nextafter(HALF_PI, 0.0))
 
 
+# -x*cot(x) at HALF_PI, which is about -9.6e-17 rather than 0 because HALF_PI
+# lies 6.1e-17 below pi/2
+_G2_AT_HALF_PI = -HALF_PI * math.cos(HALF_PI) / math.sin(HALF_PI)
+
+
 def _g2_inverse(y, cfg):
     if y == 0.0:
         return HALF_PI
@@ -142,6 +149,10 @@ def _g2_inverse(y, cfg):
             lo *= 0.5
         else:
             raise NumericalFailure(f"could not bracket -x*cot(x) = {y}")
+        if y >= _G2_AT_HALF_PI:
+            # the root pi/2 + 2y/pi lies within half an ulp above HALF_PI,
+            # and the bracket [lo, HALF_PI] has no sign change
+            return HALF_PI
         return _solve(f, lo, HALF_PI, cfg)
     if y < 2.0:
         return _solve(lambda x: -x * math.cos(x) / math.sin(x) - y,
@@ -154,6 +165,8 @@ def _g2_inverse(y, cfg):
 
 
 def _h1_inverse(y, cfg):
+    if y < _SERIES_Y:
+        return math.sqrt(y) * (1.0 + y / 6.0)
     # x*tanh(x) sits strictly between x-1 and x, so the root lies in [y, y+2]
     return _solve(lambda x: x * math.tanh(x) - y, y, y + 2.0, cfg)
 

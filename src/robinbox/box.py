@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import AlphaZero, DimensionError, DomainError, NumericalFailure
 from .interval import (IntervalGeometry, ModeDescriptor, Spectrum, gap_interval,
                        lambda1_interval, lambda2_interval, spectrum_interval)
-from .rootfind import RootBracket, solve_bracketed
+from .rootfind import DEFAULT_CONFIG, RootBracket, RootConfig, solve_bracketed
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,20 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
     if geom.dim == 1:
         return 1.0 / geom.half_widths[0]
     f = lambda a: lambda2_box(geom, a)
+    cfg = DEFAULT_CONFIG
     hi = -1e-8 / max(geom.half_widths)
     fhi = f(hi)
-    # On a thin box the thin axis's lambda1 ~ alpha/w_min already outweighs
-    # the long axis's lambda2 at hi: halve hi toward 0, where lambda2 > 0.
-    while fhi <= 0.0 and hi < 0.0:
-        hi *= 0.5
-        fhi = f(hi)
     if fhi <= 0.0:
-        raise NumericalFailure(f"lambda2 is not positive at alpha = 0 for {geom.half_widths!r}")
+        # On a thin box the thin axis's lambda1 ~ alpha/w_min already
+        # outweighs the long axis's lambda2 at hi.  Halve hi toward 0 until
+        # lambda2 > 0; the crossing then lies in [2*hi, hi), so the solve's
+        # absolute tolerance is measured in units of |hi|.
+        while fhi <= 0.0:
+            hi *= 0.5
+            if hi * min(geom.half_widths) == 0.0:
+                raise NumericalFailure(f"sigma1 is too small to resolve for {geom.half_widths!r}")
+            fhi = f(hi)
+        cfg = RootConfig(abs_tol=cfg.abs_tol * -hi)
     lo = -4.0 / min(geom.half_widths)
     flo = f(lo)
     for _ in range(60):
@@ -182,7 +187,7 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
         flo = f(lo)
     else:
         raise NumericalFailure(f"could not bracket the lambda2 zero crossing for {geom.half_widths!r}")
-    root = solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
+    root = solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
     return -root
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .basisfn import BasisFunction, alpha_minus, alpha_plus, eval_inverse
@@ -21,9 +20,6 @@ from .errors import (AlphaZero, BracketNotFound, DomainError, Inconsistent,
 from .figures import FigureId, figure_table
 from .shapes import FAMILY_KINDS, OBJECTIVES, RectangleFamily, hear_rectangle, scan_family
 from .verify import SUITES, run_suite
-
-# the pattern argparse itself uses to tell a negative number from an option
-_ARGPARSE_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 _FAMILY_ALIASES = {
     "perim": "fixed_perimeter",
@@ -264,18 +260,17 @@ def _is_float(token: str) -> bool:
 
 
 def _attach_negative_values(argv):
-    """Join a negative number in exponent form to the option before it.
+    """Join a negative number to the option before it.
 
     argparse reads ``--alpha -0.001`` as an option and its value but takes
     the -1e-3 of ``--alpha -1e-3`` for an option name.  Rewriting the pair
-    as ``--alpha=-1e-3`` gives it the value; tokens that argparse already
-    reads as negative numbers are left alone.
+    as ``--alpha=-1e-3`` gives it the value, and parses as before where
+    argparse already read the number.
     """
     out = []
     for token in argv:
         prev = out[-1] if out else ""
-        if (token.startswith("-") and not _ARGPARSE_NEGATIVE.match(token)
-                and _is_float(token) and prev.startswith("--")
+        if (token.startswith("-") and _is_float(token) and prev.startswith("--")
                 and len(prev) > 2 and "=" not in prev):
             out[-1] = f"{prev}={token}"
         else:

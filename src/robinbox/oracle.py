@@ -57,14 +57,13 @@ def discretize(geom: IntervalGeometry, alpha: float, n: int) -> DiscreteOperator
     return DiscreteOperator(n, h, diag, offdiag)
 
 
-def _sturm_count(diag, off2, shifts, pivmin):
+def _sturm_count(d0, rows, shifts, pivmin):
     """Eigenvalues below each shift: the negative pivots of the recurrence.
 
-    Works on Python floats (lists in, list out), which round exactly as
-    numpy float64 scalars do but run several times faster in this loop.
+    ``d0`` is the first diagonal entry and ``rows`` the pairs (d_i, e_{i-1}^2)
+    for i >= 1.  Works on Python floats, which round exactly as numpy
+    float64 scalars do but run several times faster in this loop.
     """
-    d0 = diag[0]
-    rows = list(zip(diag[1:], off2))
     out = []
     for x in shifts:
         q = d0 - x
@@ -111,9 +110,9 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
     glo -= pad
     ghi += pad
 
-    diag_f = d.tolist()
-    off2_f = off2.tolist()
-    below, total = _sturm_count(diag_f, off2_f, (glo, ghi), pivmin)
+    d0 = float(d[0])
+    rows = list(zip(d[1:].tolist(), off2.tolist()))
+    below, total = _sturm_count(d0, rows, (glo, ghi), pivmin)
     if below != 0 or total < k:
         raise NumericalFailure(
             f"Sturm count inconsistency at Gershgorin bounds: {below} below, {total} total")
@@ -128,7 +127,7 @@ def eigenvalues_sturm(op: DiscreteOperator, k: int, abs_tol: float = 1e-12,
         if np.all(width <= tol):
             break
         shifts, which = np.unique(mid, return_inverse=True)
-        c = np.array(_sturm_count(diag_f, off2_f, shifts.tolist(), pivmin))[which]
+        c = np.array(_sturm_count(d0, rows, shifts.tolist(), pivmin))[which]
         go_right = c <= idx
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)

@@ -95,6 +95,25 @@ def test_g1_inverse_tiny_y():
         assert abs(eval_basis(G1, x) - y) <= 1e-15 * y
 
 
+def test_h1_inverse_tiny_y():
+    """Below 1e-15 the series sqrt(y)*(1 + y/6) answers; it round-trips exactly.
+
+    The bracketed solve returned about y there once sqrt(y) fell below the
+    solver's absolute tolerance, so lambda1 at alpha*t = -1e-27 was -1e-54/t^2.
+    """
+    for k in range(3000):
+        y = 10.0 ** (-300.0 + 285.0 * k / 3000)
+        x = eval_inverse(H1, y)
+        assert abs(eval_basis(H1, x) - y) <= 1e-15 * y
+
+
+def test_g2_inverse_tiny_negative_y():
+    """Above about -9.6e-17 the root pi/2 + 2y/pi rounds to HALF_PI."""
+    half_pi = 0.5 * math.pi
+    for y in (-1e-300, -1e-20, -1e-17, -9e-17):
+        assert eval_inverse(G2, y) == half_pi
+
+
 def test_inverse_domain_errors():
     with pytest.raises(DomainError):
         eval_inverse(G1, -0.5)

@@ -10,6 +10,7 @@ from robinbox import (
     DimensionError,
     DomainError,
     IntervalGeometry,
+    NumericalFailure,
     gap_box,
     gap_interval,
     lambda1_box,
@@ -134,17 +135,28 @@ def test_steklov_zero_crossing():
         assert abs(lambda2_box(geom, -sig)) <= 1e-9 * lambda2_box(geom, 0.0)
 
 
-def test_steklov_thin_box():
-    """The thin axis's lambda1 ~ alpha/w_min sets sigma1 ~ w_min*(pi/2)^2."""
-    w_min = 1e-9
-    geom = BoxGeometry((w_min, 1.0))
+@pytest.mark.parametrize("widths", [(1e-9, 1.0), (1e-12, 1e6), (1e-12, 2e-12, 1e6)])
+def test_steklov_thin_box(widths):
+    """Thin axes' lambda1 ~ alpha/w cancel the long axis's lambda2 = (pi/(2L))^2.
+
+    So sigma1 -> (pi/(2L))^2 / sum(1/w) over the thin axes, up to a relative
+    O(w/L), and lambda2 at -sigma1 vanishes on the scale (pi/(2L))^2.
+    """
+    geom = BoxGeometry(widths)
+    long_side = max(widths)
+    scale = (0.5 * math.pi / long_side) ** 2
+    limit = scale / sum(1.0 / w for w in widths if w != long_side)
     sig = steklov_sigma1(geom)
-    assert sig > 0.0
-    # the solver's absolute tolerance on alpha (1e-13) times the slope
-    # d(lambda2)/d(alpha) ~ 1/w_min bounds the residual; lambda1 of the thin
-    # axis and lambda2 of the long one cancel there at a scale of 2.47
-    assert abs(lambda2_box(geom, -sig)) <= 1e-13 / w_min
-    assert abs(sig / (w_min * (0.5 * math.pi) ** 2) - 1.0) <= 1e-4
+    assert abs(sig / limit - 1.0) <= 1e-8
+    assert abs(lambda2_box(geom, -sig)) <= 1e-12 * scale
+    assert lambda2_box(geom, -sig * (1.0 - 1e-9)) > 0.0 > lambda2_box(geom, -sig * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("widths", [(1e-12, 1e150), (1.0, 1e200)])
+def test_steklov_unresolvable_box_raises(widths):
+    """sigma1 ~ 2.5e-312 makes alpha*w_min underflow; (1, 1e200) has lambda2(0) = 0."""
+    with pytest.raises(NumericalFailure):
+        steklov_sigma1(BoxGeometry(widths))
 
 
 def test_steklov_scaling_and_interval():

@@ -84,7 +84,8 @@ def test_negative_exponent_values_match_equals_form():
         assert spaced.returncode == joined.returncode
         assert spaced.stdout == joined.stdout
         assert spaced.stderr == joined.stderr
-    assert spaced.returncode == 0
+        if value != "-1e308":  # the gap itself overflows there
+            assert spaced.returncode == 0
 
 
 def test_hear_roundtrip():

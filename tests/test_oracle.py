@@ -125,11 +125,12 @@ def test_sturm_count_zero_pivot_tie_break():
     op = discretize(IntervalGeometry(1.0), 0.7, 12)
     diag = op.diag.tolist()
     off2 = (op.offdiag * op.offdiag).tolist()
+    rows = list(zip(diag[1:], off2))
     pivmin = float(np.finfo(np.float64).tiny * max(off2))
     eigs = np.linalg.eigvalsh(dense_matrix(op))
     shifts = [diag[0], diag[0] - 1.0, diag[0] + 1.0, diag[1]]
     assert diag[0] - shifts[0] == 0.0  # the first pivot is exactly zero
-    counts = _sturm_count(diag, off2, shifts, pivmin)
+    counts = _sturm_count(diag[0], rows, shifts, pivmin)
     assert counts == [int(np.sum(eigs < x)) for x in shifts]
 
     # interior zero pivots: ones on all three diagonals and shift 0 give
@@ -138,5 +139,5 @@ def test_sturm_count_zero_pivot_tie_break():
     # n = 5, 1 + 2cos(4*pi/6) = 0 exactly, and the negative tie-break counts
     # it with the one below, as dstebz does
     tiny = float(np.finfo(np.float64).tiny)
-    assert _sturm_count([1.0] * 4, [1.0] * 3, [0.0], tiny) == [1]
-    assert _sturm_count([1.0] * 5, [1.0] * 4, [0.0], tiny) == [2]
+    assert _sturm_count(1.0, [(1.0, 1.0)] * 3, [0.0], tiny) == [1]
+    assert _sturm_count(1.0, [(1.0, 1.0)] * 4, [0.0], tiny) == [2]
