@@ -8,15 +8,17 @@ well-defined inverse there:
     H1:  x*tanh(x)  on (0, inf)  onto (0, inf)    even modes, negative part
     H2:  x*coth(x)  on (0, inf)  onto (1, inf)    odd modes, negative part
 
-The module also provides the scaled inverses (inverse divided by the
-argument), the auxiliary slope functions f1/f2 with their thresholds y1(c)
-and y2(c), and the two critical Robin constants alpha_plus / alpha_minus.
+The module also provides branch_root, which solves every branch of
+x*tan(x) = y and -x*cot(x) = y (G1 and G2 are branch 0), the scaled
+inverses (inverse divided by the argument), the auxiliary slope functions
+f1/f2 with their thresholds y1(c) and y2(c), and the two critical Robin
+constants alpha_plus / alpha_minus.
 
-Numerical care concentrates in two places.  The trig inverses are solved in
-distance-to-pole coordinates once the target value is large, because the
-root then sits within O(1/y) of the pole and direct bracketing loses it.
-And f1 switches to a power series below x=0.05, where its closed form
-subtracts two O(1/x) quantities.
+Numerical care concentrates in two places.  branch_root solves for the
+distance to the pole on the side of y's sign, because the root sits within
+O(1/|y|) of that pole and a bracket on x itself loses it.  And f1 switches
+to a power series below x=0.05, where its closed form subtracts two O(1/x)
+quantities.
 """
 
 from __future__ import annotations
@@ -113,55 +115,51 @@ def _solve(f, lo, hi, cfg):
 _SERIES_Y = 1e-15
 
 
-def _g1_inverse(y, cfg):
-    if y < _SERIES_Y:
-        return math.sqrt(y) * (1.0 - y / 6.0)
-    if y < 2.0:
+def branch_root(c: float, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+    """The root x = c + u of (c + u)*tan(u) = y, u in (max(-c, -pi/2), pi/2).
+
+    c = m*pi is branch m of x*tan(x) = y, c = (m + 1/2)*pi branch m of
+    -x*cot(x) = y.  It is solved for the distance d in (0, pi/2) to the pole
+    on y's side, so a root next to a pole keeps its digits: y >= 0 gives
+    (a - d)*cot(d) = y, a = c + pi/2, x = a - d; y < 0 gives
+    (a + d)*cot(d) = -y, a = c - pi/2, x = a + d.  Only the principal branch
+    of x*tan(x) below y = 2 is solved in x, which is small there.
+    """
+    if not math.isfinite(y):
+        raise DomainError(f"branch root needs a finite y, got {y!r}")
+    if c == 0.0 and y < 2.0:
+        if y < _SERIES_Y:
+            return math.sqrt(y) * (1.0 - y / 6.0)
         # root of x*tan(x) = y lies in [atan(2y/pi), sqrt(y)]:
         # the lower end because tan there equals 2y/pi < y/x for x < pi/2,
         # the upper because tan(x) > x makes x*tan(x) > x^2
-        lo = math.atan(2.0 * y / PI)
-        hi = math.sqrt(y)
-        return _solve(lambda x: x * math.tan(x) - y, lo, hi, cfg)
-    # large y: the root hugs the pole, so solve for the distance d = pi/2 - x,
-    # where (pi/2 - d)*cot(d) = y brackets cleanly between pi/2/(y+2) and 2pi/(y+1)
-    dlo = HALF_PI / (y + 2.0)
-    dhi = min(2.0 * PI / (y + 1.0), 1.5)
-    d = _solve(lambda t: (HALF_PI - t) / math.tan(t) - y, dlo, dhi, cfg)
-    return min(HALF_PI - d, math.nextafter(HALF_PI, 0.0))
-
-
-# -x*cot(x) at HALF_PI, which is about -9.6e-17 rather than 0 because HALF_PI
-# lies 6.1e-17 below pi/2
-_G2_AT_HALF_PI = -HALF_PI * math.cos(HALF_PI) / math.sin(HALF_PI)
-
-
-def _g2_inverse(y, cfg):
-    if y == 0.0:
-        return HALF_PI
-    if y < 0.0:
-        # root below pi/2; lower end from the expansion -x*cot(x) = -1 + x^2/3 + ...
-        lo = 0.5 * min(math.sqrt(3.0 * (1.0 + y)), 1.5)
-        f = lambda x: -x * math.cos(x) / math.sin(x) - y
-        for _ in range(64):
-            if f(lo) < 0.0:
-                break
-            lo *= 0.5
-        else:
-            raise NumericalFailure(f"could not bracket -x*cot(x) = {y}")
-        if y >= _G2_AT_HALF_PI:
-            # the root pi/2 + 2y/pi lies within half an ulp above HALF_PI,
-            # and the bracket [lo, HALF_PI] has no sign change
-            return HALF_PI
-        return _solve(f, lo, HALF_PI, cfg)
-    if y < 2.0:
-        return _solve(lambda x: -x * math.cos(x) / math.sin(x) - y,
-                      HALF_PI, PI - 0.5, cfg)
-    # large y: distance to the pole at pi, (pi - d)*cot(d) = y
-    dlo = PI / (y + 2.0)
-    dhi = min(2.0 * PI / (y + 1.0), 2.0)
-    d = _solve(lambda t: (PI - t) / math.tan(t) - y, dlo, dhi, cfg)
-    return min(PI - d, math.nextafter(PI, 0.0))
+        return _solve(lambda x: x * math.tan(x) - y, math.atan(2.0 * y / PI), math.sqrt(y), cfg)
+    # Bounds on the root from d*cot(d) <= 1 and d*cot(d) >= 1 - 2d/pi, the
+    # chord of that concave function, with z = |y|: d <= a/(z + 1) resp.
+    # a/(z - 1), and d >= a/(z + 1 + 2a/pi) resp. max(a/(z + 2a/pi),
+    # (1 - z)*pi/2).  hi is four times the upper bound, capped at 1.5, and
+    # moves to u = 0 (d = pi/2) when the root lies past it.
+    if y >= 0.0:
+        a = c + HALF_PI
+        f = lambda d: (a - d) / math.tan(d) - y
+        lo = a / (y + (1.0 + 2.0 * a / PI))
+        hi = min(4.0 * a / (y + 1.0), 1.5)
+    else:
+        a = c - HALF_PI
+        f = lambda d: (a + d) / math.tan(d) + y
+        lo = max(a / (2.0 * a / PI - y), (1.0 + y) * HALF_PI)
+        hi = min(4.0 * a / (-1.0 - y), 1.5) if y < -1.0 else 1.5
+    fhi = f(hi)
+    if fhi >= 0.0:
+        hi, fhi = HALF_PI, f(HALF_PI)
+        if fhi >= 0.0:  # |u| ~ |y|/c is below rounding of c
+            return c
+    flo = f(lo)
+    # lo bounds the root from below, so a value of f that is not positive
+    # and finite there means the two agree to rounding, next to the pole
+    d = solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg) if 0.0 < flo < _INF else lo
+    x = a - d if y >= 0.0 else a + d
+    return x if x != a else math.nextafter(a, c)
 
 
 def _h1_inverse(y, cfg):
@@ -179,14 +177,14 @@ def _h2_inverse(y, cfg):
 def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """The x in the principal domain with eval_basis(fn, x) = y."""
     lo, hi = _RANGES[fn]
-    if not (lo < y < hi) and not (fn is BasisFunction.G2 and y == 0.0):
+    if not lo < y < hi:
         if fn is BasisFunction.G2 and y == lo:
             raise DomainError(f"{fn.value} inverse needs y > -1, got {y!r}")
         raise DomainError(f"{fn.value} inverse needs y in ({lo}, {hi}), got {y!r}")
     if fn is BasisFunction.G1:
-        return _g1_inverse(y, cfg)
+        return branch_root(0.0, y, cfg)
     if fn is BasisFunction.G2:
-        return _g2_inverse(y, cfg)
+        return branch_root(HALF_PI, y, cfg)
     if fn is BasisFunction.H1:
         return _h1_inverse(y, cfg)
     return _h2_inverse(y, cfg)

@@ -164,20 +164,15 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
     if geom.dim == 1:
         return 1.0 / geom.half_widths[0]
     f = lambda a: lambda2_box(geom, a)
-    cfg = DEFAULT_CONFIG
     hi = -1e-8 / max(geom.half_widths)
     fhi = f(hi)
-    if fhi <= 0.0:
-        # On a thin box the thin axis's lambda1 ~ alpha/w_min already
-        # outweighs the long axis's lambda2 at hi.  Halve hi toward 0 until
-        # lambda2 > 0; the crossing then lies in [2*hi, hi), so the solve's
-        # absolute tolerance is measured in units of |hi|.
-        while fhi <= 0.0:
-            hi *= 0.5
-            if hi * min(geom.half_widths) == 0.0:
-                raise NumericalFailure(f"sigma1 is too small to resolve for {geom.half_widths!r}")
-            fhi = f(hi)
-        cfg = RootConfig(abs_tol=cfg.abs_tol * -hi)
+    # On a thin box the thin axis's lambda1 ~ alpha/w_min already outweighs
+    # the long axis's lambda2 at hi.  Halve hi toward 0 until lambda2 > 0.
+    while fhi <= 0.0:
+        hi *= 0.5
+        if hi * min(geom.half_widths) == 0.0:
+            raise NumericalFailure(f"sigma1 is too small to resolve for {geom.half_widths!r}")
+        fhi = f(hi)
     lo = -4.0 / min(geom.half_widths)
     flo = f(lo)
     for _ in range(60):
@@ -187,6 +182,9 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
         flo = f(lo)
     else:
         raise NumericalFailure(f"could not bracket the lambda2 zero crossing for {geom.half_widths!r}")
+    # The crossing lies below hi, on a thin box within a factor 2 of it, so
+    # the solve's absolute tolerance is measured in units of |hi|.
+    cfg = RootConfig(abs_tol=DEFAULT_CONFIG.abs_tol * -hi)
     root = solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
     return -root
 

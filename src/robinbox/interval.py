@@ -21,9 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .basisfn import BasisFunction, eval_inverse
-from .errors import DomainError
-from .rootfind import RootBracket, solve_bracketed
+from .basisfn import BasisFunction, branch_root, eval_inverse
+from .errors import DomainError, NumericalFailure
 
 _MIN_HALF_LENGTH = 1e-12
 
@@ -98,16 +97,24 @@ class Spectrum:
         return [m for _, m in self.entries]
 
 
+def _square(r: float) -> float:
+    """r**2, raising NumericalFailure where it overflows the double range."""
+    try:
+        return r ** 2
+    except OverflowError:
+        raise NumericalFailure(f"eigenvalue rho**2 overflows the double range at rho = {r!r}") from None
+
+
 def lambda1_interval(geom: IntervalGeometry, alpha: float) -> float:
     """First Robin eigenvalue of (-t, t)."""
     t = geom.half_length
     if alpha > 0.0:
         x = eval_inverse(BasisFunction.G1, alpha * t)
-        return (x / t) ** 2
+        return _square(x / t)
     if alpha == 0.0:
         return 0.0
     x = eval_inverse(BasisFunction.H1, -alpha * t)
-    return -((x / t) ** 2)
+    return -_square(x / t)
 
 
 def lambda2_interval(geom: IntervalGeometry, alpha: float) -> float:
@@ -116,11 +123,11 @@ def lambda2_interval(geom: IntervalGeometry, alpha: float) -> float:
     y = alpha * t
     if y > -1.0:
         x = eval_inverse(BasisFunction.G2, y)  # y = 0 gives pi/2 exactly
-        return (x / t) ** 2
+        return _square(x / t)
     if y == -1.0:
         return 0.0
     x = eval_inverse(BasisFunction.H2, -y)
-    return -((x / t) ** 2)
+    return -_square(x / t)
 
 
 def gap_interval(geom: IntervalGeometry, alpha: float) -> float:
@@ -160,83 +167,36 @@ def gap_interval(geom: IntervalGeometry, alpha: float) -> float:
     a = eval_inverse(BasisFunction.H1, z)
     b = eval_inverse(BasisFunction.H2, z)
     ea = math.exp(-2.0 * a)
+    if ea == 0.0:
+        return 0.0
     eb = math.exp(-2.0 * b)
     a_minus_b = 2.0 * z * (ea + eb) / ((1.0 - ea) * (1.0 + eb))
     return (a + b) * a_minus_b / (t * t)
 
 
-def _branch_root(kind: Parity, m: int, y: float) -> float:
-    """Root of the branch-m positive-mode equation at boundary data y.
-
-    Even modes solve x*tan(x) = y on ((m-1/2)pi, (m+1/2)pi); odd modes solve
-    -x*cot(x) = y on (m*pi, (m+1)*pi).  Both functions sweep (-inf, +inf)
-    across their branch, so a root always exists; the bracket creeps toward
-    the poles until it straddles the sign change.  For |y| beyond about
-    3e16 the root lies closer to a pole than one ulp, no double straddles
-    it, and that pole's side of the bracket is returned.
-    """
-    if kind is Parity.EVEN:
-        lo_pole = (m - 0.5) * math.pi
-        hi_pole = (m + 0.5) * math.pi
-        f = lambda x: x * math.tan(x) - y
-    else:
-        lo_pole = m * math.pi
-        hi_pole = (m + 1.0) * math.pi
-        f = lambda x: -x * math.cos(x) / math.sin(x) - y
-
-    d = 1e-9 * math.pi
-    lo, flo = lo_pole + d, f(lo_pole + d)
-    for _ in range(24):
-        if math.isfinite(flo) and flo < 0.0:
-            break
-        d /= 16.0
-        lo, flo = lo_pole + d, f(lo_pole + d)
-    else:
-        return lo
-
-    d = 1e-9 * math.pi
-    hi, fhi = hi_pole - d, f(hi_pole - d)
-    for _ in range(24):
-        if math.isfinite(fhi) and fhi > 0.0:
-            break
-        d /= 16.0
-        hi, fhi = hi_pole - d, f(hi_pole - d)
-    else:
-        return hi
-
-    return solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
-
-
 def _parity_modes(parity: Parity, geom: IntervalGeometry, alpha: float,
                   count: int) -> list[tuple[float, ModeDescriptor]]:
-    """First ``count`` modes of one parity, ascending."""
+    """First ``count`` modes of one parity, ascending.
+
+    Below its zero mode (alpha = 0 even, alpha = -1/t odd) the ground mode of
+    a parity is negative; every other mode is branch m of x*tan(x) (even) or
+    -x*cot(x) (odd), whose root is m*pi resp. (m + 1/2)*pi plus u.
+    """
     t = geom.half_length
     y = alpha * t
-    out = []
-
-    # ground mode of this parity
     if parity is Parity.EVEN:
-        if alpha < 0.0:
-            x = eval_inverse(BasisFunction.H1, -y)
-            out.append((-((x / t) ** 2), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
-        elif alpha == 0.0:
-            out.append((0.0, ModeDescriptor(parity, SignClass.ZERO, 0, 0.0)))
-        else:
-            x = eval_inverse(BasisFunction.G1, y)
-            out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, 0, x / t)))
+        zero_y, negative_fn, shift = 0.0, BasisFunction.H1, 0.0
     else:
-        if y < -1.0:
-            x = eval_inverse(BasisFunction.H2, -y)
-            out.append((-((x / t) ** 2), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
-        elif y == -1.0:
-            out.append((0.0, ModeDescriptor(parity, SignClass.ZERO, 0, 0.0)))
-        else:
-            x = eval_inverse(BasisFunction.G2, y)
-            out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, 0, x / t)))
-
-    for m in range(1, count):
-        x = _branch_root(parity, m, y)
-        out.append(((x / t) ** 2, ModeDescriptor(parity, SignClass.POSITIVE, m, x / t)))
+        zero_y, negative_fn, shift = -1.0, BasisFunction.H2, 0.5
+    out = []
+    if y < zero_y:
+        x = eval_inverse(negative_fn, -y)
+        out.append((-_square(x / t), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
+    elif y == zero_y:
+        out.append((0.0, ModeDescriptor(parity, SignClass.ZERO, 0, 0.0)))
+    for m in range(len(out), count):
+        x = branch_root((m + shift) * math.pi, y)
+        out.append((_square(x / t), ModeDescriptor(parity, SignClass.POSITIVE, m, x / t)))
     return out
 
 

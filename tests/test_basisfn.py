@@ -5,6 +5,7 @@ defining equation, independent of the package's own solver.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from robinbox import (
     scaled_inverse,
     threshold_y,
 )
+from robinbox.basisfn import branch_root
 
 G1 = BasisFunction.G1
 G2 = BasisFunction.G2
@@ -112,6 +114,46 @@ def test_g2_inverse_tiny_negative_y():
     half_pi = 0.5 * math.pi
     for y in (-1e-300, -1e-20, -1e-17, -9e-17):
         assert eval_inverse(G2, y) == half_pi
+
+
+def _reference_branch_root(mpmath, c, y):
+    """50-digit bisection of (c + u)*tan(u) = y on u in (max(-c, -pi/2), pi/2)."""
+    with mpmath.workdps(50):
+        c, y = mpmath.mpf(c), mpmath.mpf(y)
+        lo, hi = max(-c, -mpmath.pi / 2), mpmath.pi / 2
+        while hi - lo > 1e-25:
+            mid = (lo + hi) / 2
+            if (c + mid) * mpmath.tan(mid) < y:
+                lo = mid
+            else:
+                hi = mid
+        return float(c + (lo + hi) / 2)
+
+
+def test_branch_roots_match_50_digit_reference():
+    """Branches 0-5 of x*tan(x) and -x*cot(x) over |y| in [1e-12, 1e12].
+
+    Branch 0 is the G1 inverse for y > 0 and the G2 inverse down to
+    y = -0.999; the rest of (-1, 0) is ill-conditioned in y.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    ys = [s * 10.0 ** (k / 2 - 12) for k in range(49) for s in (1.0, -1.0)]
+    for m in range(6):
+        for shift in (0.0, 0.5):
+            exact_c = (mpmath.mpf(m) + shift) * mpmath.pi
+            for y in ys + [-0.999]:
+                if m == 0 and shift == 0.0:
+                    if y < 0.0:
+                        continue
+                    x = eval_inverse(G1, y)
+                elif m == 0:
+                    if y < -0.999:
+                        continue
+                    x = eval_inverse(G2, y)
+                else:
+                    x = branch_root((m + shift) * math.pi, y)
+                ref = _reference_branch_root(mpmath, exact_c, y)
+                assert abs(x - ref) <= 1e-13 + 8.0 * sys.float_info.epsilon * abs(ref), (m, shift, y)
 
 
 def test_inverse_domain_errors():

@@ -129,10 +129,11 @@ def test_steklov_square_frozen():
 
 def test_steklov_zero_crossing():
     """lambda2 really does vanish at -sigma1, the defining property."""
-    for ws in ((1.0, 1.0), (1.5, 0.5), (1.0, 1.0, 1.0)):
+    for ws in ((1.0, 1.0), (1.5, 0.5), (1.0, 1.0, 1.0), (1e-3, 1e3), (1e-2, 1e2)):
         geom = BoxGeometry(ws)
         sig = steklov_sigma1(geom)
         assert abs(lambda2_box(geom, -sig)) <= 1e-9 * lambda2_box(geom, 0.0)
+        assert lambda2_box(geom, -sig * (1.0 - 1e-12)) > 0.0 > lambda2_box(geom, -sig * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("widths", [(1e-9, 1.0), (1e-12, 1e6), (1e-12, 2e-12, 1e6)])

@@ -84,8 +84,22 @@ def test_negative_exponent_values_match_equals_form():
         assert spaced.returncode == joined.returncode
         assert spaced.stdout == joined.stdout
         assert spaced.stderr == joined.stderr
-        if value != "-1e308":  # the gap itself overflows there
-            assert spaced.returncode == 0
+        assert spaced.returncode == 0
+
+
+def test_nonfinite_alpha_exits_2():
+    for value in ("nan", "inf", "-inf"):
+        r = run_cli("eig", "--box", "1", "--alpha", value, "--k", "3")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+
+def test_overflowing_eigenvalue_exits_3():
+    """lambda1 ~ -alpha^2 overflows the double range below alpha ~ -1.34e154."""
+    for command, box in (("eig", "1"), ("ratio", "1,1")):
+        r = run_cli(command, "--box", box, "--alpha=-1e160")
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
 
 
 def test_hear_roundtrip():

@@ -100,6 +100,13 @@ def test_gap_positive_everywhere_sampled():
             assert gap_interval(g, a) > 0.0
 
 
+def test_gap_is_zero_once_the_exponentials_underflow():
+    # at -1e308, a + b overflows to inf while a - b is 0
+    g = IntervalGeometry(1.0)
+    for a in (-380.0, -1e10, -1e308):
+        assert gap_interval(g, a) == 0.0
+
+
 def test_spectrum_neumann_multiples():
     vals = spectrum_interval(IntervalGeometry(1.0), 0.0, 6).values
     for j, v in enumerate(vals):
