@@ -27,7 +27,7 @@ import enum
 import math
 
 from .errors import DomainError, NumericalFailure
-from .rootfind import DEFAULT_CONFIG, RootBracket, RootConfig, expand_bracket, solve_bracketed
+from .rootfind import RootBracket, expand_bracket, solve_bracketed
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -97,25 +97,26 @@ def eval_basis(fn: BasisFunction, x: float) -> float:
     raise DomainError(f"unknown basis function {fn!r}")
 
 
-def _solve(f, lo, hi, cfg):
+def _solve(f, lo, hi):
     flo = f(lo)
     if flo == 0.0:
         return lo
     fhi = f(hi)
     if fhi == 0.0:
         return hi
-    return solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
+    return solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
 
 
 # Below this y the series x = sqrt(y)*(1 -+ y/6) of the G1 and H1 inverses
 # are exact to rounding (the next term is O(y^2) relative).  The bracketed
 # solves are not: G1's bracket [atan(2y/pi), sqrt(y)] can lose its sign
-# change to rounding in x*tan(x) - y, and a root sqrt(y) below the solver's
-# absolute tolerance comes back as the bracket end y.
+# change to rounding in x*tan(x) - y, and H1's bracket [y, y + 2] is so much
+# wider than its root sqrt(y) that the solve runs out of iterations below
+# about y = 1e-60.
 _SERIES_Y = 1e-15
 
 
-def branch_root(c: float, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def branch_root(c: float, y: float) -> float:
     """The root x = c + u of (c + u)*tan(u) = y, u in (max(-c, -pi/2), pi/2).
 
     c = m*pi is branch m of x*tan(x) = y, c = (m + 1/2)*pi branch m of
@@ -133,7 +134,7 @@ def branch_root(c: float, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
         # root of x*tan(x) = y lies in [atan(2y/pi), sqrt(y)]:
         # the lower end because tan there equals 2y/pi < y/x for x < pi/2,
         # the upper because tan(x) > x makes x*tan(x) > x^2
-        return _solve(lambda x: x * math.tan(x) - y, math.atan(2.0 * y / PI), math.sqrt(y), cfg)
+        return _solve(lambda x: x * math.tan(x) - y, math.atan(2.0 * y / PI), math.sqrt(y))
     # Bounds on the root from d*cot(d) <= 1 and d*cot(d) >= 1 - 2d/pi, the
     # chord of that concave function, with z = |y|: d <= a/(z + 1) resp.
     # a/(z - 1), and d >= a/(z + 1 + 2a/pi) resp. max(a/(z + 2a/pi),
@@ -157,24 +158,24 @@ def branch_root(c: float, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     flo = f(lo)
     # lo bounds the root from below, so a value of f that is not positive
     # and finite there means the two agree to rounding, next to the pole
-    d = solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg) if 0.0 < flo < _INF else lo
+    d = solve_bracketed(f, RootBracket(lo, hi, flo, fhi)) if 0.0 < flo < _INF else lo
     x = a - d if y >= 0.0 else a + d
     return x if x != a else math.nextafter(a, c)
 
 
-def _h1_inverse(y, cfg):
+def _h1_inverse(y):
     if y < _SERIES_Y:
         return math.sqrt(y) * (1.0 + y / 6.0)
     # x*tanh(x) sits strictly between x-1 and x, so the root lies in [y, y+2]
-    return _solve(lambda x: x * math.tanh(x) - y, y, y + 2.0, cfg)
+    return _solve(lambda x: x * math.tanh(x) - y, y, y + 2.0)
 
 
-def _h2_inverse(y, cfg):
+def _h2_inverse(y):
     # x*coth(x) sits strictly between x and x+1, so the root lies in [y-1, y]
-    return _solve(lambda x: x / math.tanh(x) - y, y - 1.0, y, cfg)
+    return _solve(lambda x: x / math.tanh(x) - y, y - 1.0, y)
 
 
-def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def eval_inverse(fn: BasisFunction, y: float) -> float:
     """The x in the principal domain with eval_basis(fn, x) = y."""
     lo, hi = _RANGES[fn]
     if not lo < y < hi:
@@ -182,12 +183,12 @@ def eval_inverse(fn: BasisFunction, y: float, cfg: RootConfig = DEFAULT_CONFIG) 
             raise DomainError(f"{fn.value} inverse needs y > -1, got {y!r}")
         raise DomainError(f"{fn.value} inverse needs y in ({lo}, {hi}), got {y!r}")
     if fn is BasisFunction.G1:
-        return branch_root(0.0, y, cfg)
+        return branch_root(0.0, y)
     if fn is BasisFunction.G2:
-        return branch_root(HALF_PI, y, cfg)
+        return branch_root(HALF_PI, y)
     if fn is BasisFunction.H1:
-        return _h1_inverse(y, cfg)
-    return _h2_inverse(y, cfg)
+        return _h1_inverse(y)
+    return _h2_inverse(y)
 
 
 def scaled_inverse(fn: BasisFunction, y: float) -> float:

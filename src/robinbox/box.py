@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import AlphaZero, DimensionError, DomainError, NumericalFailure
 from .interval import (IntervalGeometry, ModeDescriptor, Spectrum, gap_interval,
                        lambda1_interval, lambda2_interval, spectrum_interval)
-from .rootfind import DEFAULT_CONFIG, RootBracket, RootConfig, solve_bracketed
+from .rootfind import RootBracket, solve_bracketed
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,7 @@ def steklov_sigma1(geom: BoxGeometry) -> float:
         flo = f(lo)
     else:
         raise NumericalFailure(f"could not bracket the lambda2 zero crossing for {geom.half_widths!r}")
-    # The crossing lies below hi, on a thin box within a factor 2 of it, so
-    # the solve's absolute tolerance is measured in units of |hi|.
-    cfg = RootConfig(abs_tol=DEFAULT_CONFIG.abs_tol * -hi)
-    root = solve_bracketed(f, RootBracket(lo, hi, flo, fhi), cfg)
-    return -root
+    return -solve_bracketed(f, RootBracket(lo, hi, flo, fhi))
 
 
 _SCALED_KINDS = ("perim_lambda1", "perim_lambda2", "vol_lambda1", "vol_lambda2",

@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .basisfn import BasisFunction, branch_root, eval_inverse
+from .basisfn import _SERIES_Y, BasisFunction, branch_root, eval_inverse
 from .errors import DomainError, NumericalFailure
 
 _MIN_HALF_LENGTH = 1e-12
@@ -105,14 +105,23 @@ def _square(r: float) -> float:
         raise NumericalFailure(f"eigenvalue rho**2 overflows the double range at rho = {r!r}") from None
 
 
+def _lambda1_series(alpha: float, t: float) -> float:
+    """lambda1 for 0 < |alpha*t| < _SERIES_Y, where x^2 = y*(1 - y/3) for
+    both signs of y = alpha*t.  alpha/t stays a normal double where y
+    itself underflows to 0."""
+    return (alpha / t) * (1.0 - alpha * t / 3.0)
+
+
 def lambda1_interval(geom: IntervalGeometry, alpha: float) -> float:
     """First Robin eigenvalue of (-t, t)."""
     t = geom.half_length
+    if alpha == 0.0:
+        return 0.0
+    if abs(alpha * t) < _SERIES_Y:
+        return _lambda1_series(alpha, t)
     if alpha > 0.0:
         x = eval_inverse(BasisFunction.G1, alpha * t)
         return _square(x / t)
-    if alpha == 0.0:
-        return 0.0
     x = eval_inverse(BasisFunction.H1, -alpha * t)
     return -_square(x / t)
 
@@ -189,7 +198,11 @@ def _parity_modes(parity: Parity, geom: IntervalGeometry, alpha: float,
     else:
         zero_y, negative_fn, shift = -1.0, BasisFunction.H2, 0.5
     out = []
-    if y < zero_y:
+    if parity is Parity.EVEN and alpha != 0.0 and abs(y) < _SERIES_Y:
+        lam = _lambda1_series(alpha, t)
+        sign_class = SignClass.POSITIVE if lam > 0.0 else SignClass.NEGATIVE
+        out.append((lam, ModeDescriptor(parity, sign_class, 0, math.sqrt(abs(lam)))))
+    elif y < zero_y:
         x = eval_inverse(negative_fn, -y)
         out.append((-_square(x / t), ModeDescriptor(parity, SignClass.NEGATIVE, 0, x / t)))
     elif y == zero_y:

@@ -2,11 +2,12 @@
 
 The solver is a Brent-style hybrid: bisection guarantees convergence while
 secant / inverse-quadratic steps accelerate it, and the iterate never leaves
-the current bracket.  The one twist over the textbook loop is the handling of
-non-finite function values: the transcendental equations solved elsewhere in
-this package have poles close to their bracket ends, so a candidate whose
-evaluation returns nan/inf is pulled back toward the endpoint that is known
-to be finite instead of aborting.
+the current bracket.  It stops on Brent's own test, a bracket half-width of
+at most 2*eps*|b|, so every root comes back to within a few ulps and no
+tolerance is configurable.  The one twist over the textbook loop: the
+transcendental equations solved elsewhere in this package have poles next
+to their bracket ends, and an iterate whose function value is nan/inf
+raises NumericalFailure rather than steering the iteration with it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from typing import Callable
 from .errors import BracketNotFound, DomainError, MaxIterExceeded, NoSignChange, NumericalFailure
 
 _EPS = sys.float_info.epsilon
+# Keeps the stopping tolerance positive where the root is 0, as it can be in
+# log-coordinate solves; elsewhere 2*eps*|b| is larger by far.
+_TOL_FLOOR = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -43,15 +47,9 @@ class RootBracket:
 
 @dataclass(frozen=True)
 class RootConfig:
-    abs_tol: float = 1e-13
-    rel_tol: float = 4.0 * _EPS
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.rel_tol < 0.0:
-            raise DomainError("rel_tol must be nonnegative")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
@@ -60,30 +58,13 @@ DEFAULT_CONFIG = RootConfig()
 
 
 def default_config() -> RootConfig:
-    """The package-wide tolerances: the field defaults of RootConfig."""
+    """The package-wide solver settings: the field defaults of RootConfig."""
     return DEFAULT_CONFIG
-
-
-def _guarded_eval(f, x, fallback, n_retries=64):
-    """Evaluate f(x), contracting x toward ``fallback`` while the value is non-finite.
-
-    ``fallback`` is a point where f is known finite; continuity makes some
-    neighbor of it finite too, so geometric contraction must succeed.
-    """
-    fx = f(x)
-    for _ in range(n_retries):
-        if math.isfinite(fx):
-            return x, fx
-        x = 0.5 * (x + fallback)
-        if x == fallback:
-            return x, f(x)
-        fx = f(x)
-    raise NumericalFailure(f"function stayed non-finite near x={x!r}")
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: RootBracket,
                     cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Root of f inside ``bracket`` to within abs_tol + rel_tol*|root|."""
+    """Root of f inside ``bracket``, to within 4*eps*|root|."""
     sa, sb = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
     c, fc = sa, fa
@@ -95,7 +76,7 @@ def solve_bracketed(f: Callable[[float], float], bracket: RootBracket,
             sb, fb = c, fc
             c, fc = sa, fa
 
-        tol = 2.0 * _EPS * abs(sb) + 0.5 * (cfg.abs_tol + cfg.rel_tol * abs(sb))
+        tol = 2.0 * _EPS * abs(sb) + _TOL_FLOOR
         m = 0.5 * (c - sb)
         if abs(m) <= tol or fb == 0.0:
             return sb
@@ -132,7 +113,9 @@ def solve_bracketed(f: Callable[[float], float], bracket: RootBracket,
             sb += tol
         else:
             sb -= tol
-        sb, fb = _guarded_eval(f, sb, fallback=sa)
+        fb = f(sb)
+        if not math.isfinite(fb):
+            raise NumericalFailure(f"f is not finite at iterate {sb!r}")
 
         if (fb > 0.0) == (fc > 0.0):
             c, fc = sa, fa

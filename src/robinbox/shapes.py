@@ -34,6 +34,7 @@ _P_MIN = 1e-4
 _ASPECT_MAX = 1e4
 _SIDE_TIE_REL = 1e-9
 _FORWARD_RESIDUAL_REL = 1e-8
+_SQUARE_RESIDUAL_ULPS = 4.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -171,6 +172,9 @@ def scan_family(family: RectangleFamily, alpha: float, objective: str,
             fd = height(d)
     argopt = 0.5 * (a + b)
     opt_value = _objective_value(family.geometry(argopt), alpha, objective)
+    # on a steep range end the refinement can fall short of the grid itself
+    if sign * values[i_best] > sign * opt_value:
+        argopt, opt_value = float(params[i_best]), float(values[i_best])
     return ScanResult(family, alpha, objective, opt_kind, tuple(float(p) for p in params),
                       tuple(float(v) for v in values), argopt, opt_value)
 
@@ -219,7 +223,8 @@ def hear_rectangle(lambda1_val: float, lambda2_val: float, alpha: float) -> BoxG
     longest side, so the data cannot determine a shape.  Raises Inconsistent
     when no rectangle fits: non-positive gap, leftover lambda1 share outside
     the attainable range of a single axis, recovered short side longer than
-    the long side, or a failed forward re-check.
+    the long side where the square does not reproduce the pair to a few ulps,
+    or a failed forward re-check.
     """
     if alpha == 0.0:
         raise AlphaZero("cannot hear a rectangle at alpha = 0")
@@ -247,7 +252,14 @@ def hear_rectangle(lambda1_val: float, lambda2_val: float, alpha: float) -> BoxG
         increasing=(alpha < 0.0), label="short side")
 
     if s > t * (1.0 + _SIDE_TIE_REL):
-        raise Inconsistent(f"recovered short side {s!r} exceeds long side {t!r}")
+        # inconsistent data, unless the pair pins s down less tightly than its
+        # own rounding (a near-square at strongly negative alpha*t): then the
+        # square reproduces both eigenvalues to a few ulps
+        square = BoxGeometry((t, t))
+        r = max(abs(lambda1_box(square, alpha) - lambda1_val),
+                abs(lambda2_box(square, alpha) - lambda2_val))
+        if r > _SQUARE_RESIDUAL_ULPS * math.ulp(max(abs(lambda1_val), abs(lambda2_val))):
+            raise Inconsistent(f"recovered short side {s!r} exceeds long side {t!r}")
     s = min(s, t)
 
     recovered = BoxGeometry((t, s))

@@ -29,15 +29,10 @@ from .errors import AlphaZero, DimensionError, Inconsistent
 from .interval import (IntervalGeometry, Parity, gap_interval, lambda1_interval,
                        lambda2_interval, spectrum_interval)
 from .oracle import discretize, eigenvalues_sturm, oracle_eigs
-from .rootfind import RootConfig
 from .shapes import RectangleFamily, gap_vs_segment, hear_rectangle, scan_family
 
 G1, G2, H1, H2 = (BasisFunction.G1, BasisFunction.G2,
                   BasisFunction.H1, BasisFunction.H2)
-
-# Near-ulp root tolerances: second-difference checks amplify per-call solver
-# error by 1/h^2, so the default 1e-13 absolute tolerance is too loose here.
-_TIGHT = RootConfig(abs_tol=1e-30, rel_tol=0.0, max_iter=400)
 
 
 @dataclass(frozen=True)
@@ -66,10 +61,6 @@ def _logspace(a, b, n):
     return np.logspace(math.log10(a), math.log10(b), n)
 
 
-def _inv(fn, y):
-    return eval_inverse(fn, y, _TIGHT)
-
-
 def _second_diff(F, y, h):
     return F(y - h) - 2.0 * F(y) + F(y + h)
 
@@ -91,8 +82,8 @@ def _worst_decrease(values):
 
 def _stable_h_gap(y):
     """h1inv(y)^2 - h2inv(y)^2 without cancellation (same trick as the gap)."""
-    a = _inv(H1, y)
-    b = _inv(H2, y)
+    a = eval_inverse(H1, y)
+    b = eval_inverse(H2, y)
     ea, eb = math.exp(-2.0 * a), math.exp(-2.0 * b)
     return (a + b) * 2.0 * y * (ea + eb) / ((1.0 - ea) * (1.0 + eb))
 
@@ -113,7 +104,7 @@ def _roundtrip_checks(out):
         worst = 0.0
         for y in ys:
             y = float(y)
-            back = eval_basis(fn, _inv(fn, y))
+            back = eval_basis(fn, eval_inverse(fn, y))
             worst = max(worst, abs(back - y) / abs(y))
         out.append(_chk(name, worst, 1e-10))
 
@@ -129,13 +120,13 @@ def _scaled_monotone_checks(out):
         ("scaled_H2_increasing", H2, 1.0 + _logspace(1e-6, math.log10(14.0), 512), "inc"),
     ]
     for name, fn, ys, kind in cases:
-        vals = [_inv(fn, float(y)) / float(y) for y in ys]
+        vals = [eval_inverse(fn, float(y)) / float(y) for y in ys]
         bad = _worst_increase(vals) if kind == "dec" else _worst_decrease(vals)
         out.append(_chk(name, bad, 0.0, strict=True))
 
 
 def _curvature_checks(out):
-    sq = lambda fn: (lambda y: _inv(fn, y) ** 2)
+    sq = lambda fn: (lambda y: eval_inverse(fn, y) ** 2)
 
     worst = -math.inf
     for y in _logspace(1e-4, 1e4, 384):
@@ -144,8 +135,9 @@ def _curvature_checks(out):
     out.append(_chk("concave_g1inv_sq", worst, 0.0, strict=True))
 
     # Steps near the y = -1 branch point are floored at 1e-6: the inverse's
-    # resolution there is ulp(y)/g2' ~ 7e-15, independent of root tolerance,
-    # and a shorter step would drown the curvature signal in that noise.
+    # resolution there is ulp(y)/g2' ~ 7e-15, set by conditioning and not by
+    # the solver, and a shorter step would drown the curvature signal in
+    # that noise.
     # (Any step inside the domain is a valid witness for strict concavity.)
     worst = -math.inf
     g2_grid = np.concatenate([_logspace(1e-4, 0.99, 160) - 1.0, _logspace(1e-4, 1e4, 224)])
@@ -173,19 +165,19 @@ def _bound_checks(out):
     worst = -math.inf
     for y in _logspace(1e-6, 1e3, 512):
         y = float(y)
-        worst = max(worst, (y - y * y) - _inv(G1, y) ** 2)
+        worst = max(worst, (y - y * y) - eval_inverse(G1, y) ** 2)
     out.append(_chk("bound_g1inv_sq_above", worst, 0.0, strict=True))
 
     worst = -math.inf
     for y in _logspace(1e-6, 1e3, 512):
         y = float(y)
-        worst = max(worst, _inv(H1, y) ** 2 - (y + y * y))
+        worst = max(worst, eval_inverse(H1, y) ** 2 - (y + y * y))
     out.append(_chk("bound_h1inv_sq_below", worst, 0.0, strict=True))
 
 
 def _derivative_checks(out):
-    scaled = lambda fn: (lambda y: _inv(fn, y) / y)
-    sq = lambda fn: (lambda y: _inv(fn, y) ** 2)
+    scaled = lambda fn: (lambda y: eval_inverse(fn, y) / y)
+    sq = lambda fn: (lambda y: eval_inverse(fn, y) ** 2)
 
     worst = -math.inf
     for y in _logspace(1e-4, 1e4, 256):
@@ -202,7 +194,7 @@ def _derivative_checks(out):
     out.append(_chk("deriv_gap_sq_increasing", worst, 0.0, strict=True))
 
     worst = -math.inf
-    F = lambda y: sq(G2)(y) + _inv(H1, -y) ** 2
+    F = lambda y: sq(G2)(y) + eval_inverse(H1, -y) ** 2
     for y in _logspace(1e-4, 0.9999, 256) - 1.0:
         y = float(y)
         h = 1e-4 * min(1.0 + y, -y)
@@ -223,7 +215,7 @@ def _derivative_checks(out):
     worst = -math.inf
     for y in 1.0 + _logspace(1e-4, 14.0, 256):
         y = float(y)
-        worst = max(worst, _inv(H2, y) - _inv(H1, y))
+        worst = max(worst, eval_inverse(H2, y) - eval_inverse(H1, y))
     out.append(_chk("h2inv_below_h1inv", worst, 0.0, strict=True))
 
 
@@ -235,7 +227,7 @@ def _logconvex_checks(out):
         ("logconvex_H1", H1, math.log(1e-5), math.log(8.0)),
     ]
     for name, fn, zlo, zhi in cases:
-        F = lambda z: _inv(fn, math.exp(z)) / math.exp(z)
+        F = lambda z: eval_inverse(fn, math.exp(z)) / math.exp(z)
         worst = -math.inf
         for z in np.linspace(zlo, zhi, 384):
             worst = max(worst, -_second_diff(F, float(z), 1e-4))
@@ -248,7 +240,7 @@ _SHAPE_CS = (0.5, 2.0, 3.5, 5.0, 10.0, 40.0)
 def _shape_functional_checks(out):
     def K(fn, c, sign=1.0):
         def val(y):
-            x = _inv(fn, sign * c * y)
+            x = eval_inverse(fn, sign * c * y)
             return y * (1.0 - y) * (x / (c * y)) ** 2
         return val
 
@@ -342,8 +334,9 @@ def _threshold_checks(out):
     out.append(_bool_chk("y2_reciprocal_up_to_1", ok))
 
     # both margins close exponentially in c (1/2 - y1 ~ 3e-10 by c = 25,
-    # 1 - y1 - y2 ~ 2e-10 by c = 16) while the threshold roots carry ~1e-13
-    # of solver noise, so the strict comparisons stop there
+    # 1 - y1 - y2 ~ 2e-10 by c = 16); the thresholds carry about 1e-16 of
+    # rounding error, so where the strict comparisons stop the margin is
+    # still six orders of magnitude above it
     cs = _logspace(3.001, 25.0, 128)
     y1s = [threshold_y("y1", float(c)) for c in cs]
     out.append(_chk("y1_below_half", max(y1s) - 0.5, 0.0, strict=True))
@@ -359,13 +352,13 @@ def _threshold_checks(out):
 
 def _constant_checks(out):
     ap = alpha_plus()
-    resid = abs(_inv(G1, ap / 8.0) ** 2 + _inv(G2, ap / 8.0) ** 2 - ap / 4.0)
+    resid = abs(eval_inverse(G1, ap / 8.0) ** 2 + eval_inverse(G2, ap / 8.0) ** 2 - ap / 4.0)
     out.append(_chk("alpha_plus_residual", resid, 1e-10 * max(1.0, ap / 4.0)))
     out.append(_bool_chk("alpha_plus_in_range", 8.0 < ap < 100.0))
 
     am = alpha_minus()
     m = -am
-    resid = abs(_inv(H1, m / 8.0) ** 2 + _inv(H2, m / 8.0) ** 2 - m / 4.0)
+    resid = abs(eval_inverse(H1, m / 8.0) ** 2 + eval_inverse(H2, m / 8.0) ** 2 - m / 4.0)
     out.append(_chk("alpha_minus_residual", resid, 1e-10 * max(1.0, m / 4.0)))
     out.append(_bool_chk("alpha_minus_in_range", -100.0 < am < -8.0))
 
@@ -410,8 +403,8 @@ def suite_interval():
         curv2 = max(curv2, float(np.max(d2[1:] - d2[:-1])))
     out.append(_chk("lambda1_increasing_in_alpha", worst1, 0.0, strict=True))
     out.append(_chk("lambda2_increasing_in_alpha", worst2, 0.0, strict=True))
-    out.append(_chk("lambda1_concave_in_alpha", curv1, 1e-10))
-    out.append(_chk("lambda2_concave_in_alpha", curv2, 1e-10))
+    out.append(_chk("lambda1_concave_in_alpha", curv1, 0.0, strict=True))
+    out.append(_chk("lambda2_concave_in_alpha", curv2, 0.0, strict=True))
 
     # slope 1/t across alpha = 0, slope 3/t on both sides of alpha = -1/t
     worst = 0.0
@@ -557,7 +550,7 @@ def suite_box():
         for g, l1, l2 in zip(gaps, l1s, l2s):
             worst_diff = max(worst_diff, abs((l2 - l1) - g) / max(1.0, abs(l1), abs(l2)))
     out.append(_chk("gap_increasing_in_alpha", worst_gap, 0.0, strict=True))
-    out.append(_chk("eigenvalues_concave_in_alpha", curv, 1e-10))
+    out.append(_chk("eigenvalues_concave_in_alpha", curv, 0.0, strict=True))
     out.append(_chk("box_gap_matches_difference", worst_diff, 1e-12))
 
     try:

@@ -107,6 +107,15 @@ def test_gap_is_zero_once_the_exponentials_underflow():
         assert gap_interval(g, a) == 0.0
 
 
+def test_lambda1_where_alpha_t_underflows():
+    """alpha*t = 1e-332 underflows to 0, but lambda1 ~ alpha/t = 1e-308 does not."""
+    g = IntervalGeometry(1e-12)
+    for a in (1e-320, -1e-320):
+        lam = lambda1_interval(g, a)
+        assert lam == a / 1e-12
+        assert spectrum_interval(g, a, 3).values[0] == lam
+
+
 def test_spectrum_neumann_multiples():
     vals = spectrum_interval(IntervalGeometry(1.0), 0.0, 6).values
     for j, v in enumerate(vals):

@@ -1,6 +1,7 @@
 """Bracketed solver behavior, checked against a dumb bisection reference."""
 
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from robinbox import (
     DomainError,
     MaxIterExceeded,
     NoSignChange,
+    NumericalFailure,
     RootBracket,
     RootConfig,
     default_config,
@@ -70,32 +72,48 @@ def test_bracket_rejects_bad_ordering():
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        RootConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        RootConfig(rel_tol=-1e-3)
-    with pytest.raises(DomainError):
-        RootConfig(max_iter=0)
+    # the iteration cap is the one setting; the stopping rule is fixed
+    for bad in (0, -3):
+        with pytest.raises(DomainError):
+            RootConfig(max_iter=bad)
+    with pytest.raises(TypeError):
+        RootConfig(abs_tol=1e-3)
 
 
 def test_default_config_is_the_field_defaults(monkeypatch):
-    # tolerances have one source; the environment plays no part
+    # the settings have one source; the environment plays no part
     monkeypatch.setenv("ROBINBOX_TOL_ABS", "1e-3")
     assert default_config() == RootConfig()
 
 
 def test_max_iter_exceeded():
     f = lambda x: x * x * x - 2.0
-    cfg = RootConfig(abs_tol=1e-300, rel_tol=0.0, max_iter=2)
+    cfg = RootConfig(max_iter=2)
     with pytest.raises(MaxIterExceeded):
         solve_bracketed(f, bracket(f, 0.0, 2.0), cfg)
 
 
-def test_loose_tolerance_still_near_root():
-    f = lambda x: math.cos(x)
-    cfg = RootConfig(abs_tol=1e-3, rel_tol=0.0)
-    root = solve_bracketed(f, bracket(f, 1.0, 2.0), cfg)
-    assert abs(root - 0.5 * math.pi) < 1e-3
+def test_roots_to_full_precision():
+    """Brent's stop, a half-width of 2*eps*|root|, holds at every scale."""
+    eps = sys.float_info.epsilon
+    for scale in (1e-200, 1e-12, 1.0, 1e12, 1e200):
+        f = lambda x: x / scale - 1.0
+        root = solve_bracketed(f, bracket(f, 0.1 * scale, 7.0 * scale))
+        assert abs(root - scale) <= 4.0 * eps * scale, scale
+    root = solve_bracketed(math.cos, bracket(math.cos, 1.0, 2.0))
+    assert abs(root - 0.5 * math.pi) <= 4.0 * eps * 0.5 * math.pi
+
+
+def test_root_at_zero():
+    """A root of 0, where the relative stop 2*eps*|b| vanishes, is still found."""
+    assert abs(solve_bracketed(math.expm1, bracket(math.expm1, -0.7, 1.3))) <= 1e-300
+
+
+def test_non_finite_iterate_raises():
+    # finite, opposite-signed ends around a region where f is infinite
+    f = lambda x: -1.0 if x < 0.0 else (1.0 if x > 1.0 else math.inf)
+    with pytest.raises(NumericalFailure, match="not finite at iterate 0.5"):
+        solve_bracketed(f, bracket(f, -1.0, 2.0))
 
 
 def test_expand_bracket_up_and_down():

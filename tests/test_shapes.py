@@ -79,6 +79,13 @@ def test_scan_finds_square_for_first_eigenvalue():
         assert abs(res.argopt - fam.symmetric_parameter) <= res.grid_cell
 
 
+def test_scan_never_worse_than_its_grid():
+    """lambda2 peaks at the steep end of the range, where golden section fell
+    4.8e-9 relative short of the best grid value."""
+    res = scan_family(RectangleFamily("fixed_perimeter", 2.0), 17.0, "lambda2")
+    assert res.opt_value >= max(res.values)
+
+
 def test_scan_rejects_unknown_objective():
     fam = RectangleFamily("fixed_volume", 4.0, 2)
     with pytest.raises(DomainError):
@@ -129,6 +136,18 @@ def test_hearing_rejects_fabricated_pair():
     l1, l2 = lambda1_box(sq, 1.0), lambda2_box(sq, 1.0)
     with pytest.raises(Inconsistent):
         hear_rectangle(l1, 1.1 * l2, 1.0)
+
+
+def test_hearing_near_square_at_strong_negative_coupling():
+    """The pair of the box (1.19767, 1.19520) at alpha*t ~ -18 fixes its gap
+    to a few ulps only, and the recovered short side comes out longer than
+    the long side.  The square reproduces the pair to an ulp, so it is a
+    backward-stable answer, not an inconsistency."""
+    l1, l2, alpha = -451.8386575003841, -451.83865750038376, -15.030613053039183
+    rec = hear_rectangle(l1, l2, alpha)
+    assert rec.half_widths[0] >= rec.half_widths[1]
+    assert abs(lambda1_box(rec, alpha) - l1) <= 1e-12 * abs(l1)
+    assert abs(lambda2_box(rec, alpha) - l2) <= 1e-12 * abs(l2)
 
 
 def test_hearing_rejects_nonfinite_input():
